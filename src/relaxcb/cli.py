@@ -44,12 +44,9 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
-    if args.reps is not None:
-        config["reps"] = args.reps
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.learner is not None:
-        config["learner"] = args.learner
+    overrides = {"reps": args.reps, "seed": args.seed, "learner": args.learner}
+    if isinstance(config, dict):  # anything else is reported by validate_config
+        config.update((key, value) for key, value in overrides.items() if value is not None)
     try:
         result = run_experiment(config)
     except ConfigError as exc:

@@ -37,7 +37,7 @@ from .core import (
     draw_estimator_coin,
 )
 from .environments import ContextDistribution
-from .policies import ValueOracle
+from .policies import ValueOracle, context_action_sums
 
 MODES = ("iid-sampler", "transductive")
 
@@ -180,14 +180,11 @@ def past_loss_matrix(history: Sequence, num_contexts: int, num_actions: int) -> 
 
 def future_loss_matrix(rho: FutureDraw, num_contexts: int, num_actions: int) -> np.ndarray:
     """Sum the perturbation terms ``2 * sign * magnitude`` into a (U, K) matrix."""
-    mat = np.zeros((num_contexts, num_actions))
     nz = rho.magnitudes > 0.0
-    if np.any(nz):
-        contexts = rho.contexts[nz]
-        weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
-        for a in range(num_actions):
-            mat[:, a] = np.bincount(contexts, weights=weighted[:, a], minlength=num_contexts)
-    return mat
+    if not np.any(nz):
+        return np.zeros((num_contexts, num_actions))
+    weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
+    return context_action_sums(rho.contexts[nz], weighted, num_contexts)
 
 
 def _scores_from_matrix(

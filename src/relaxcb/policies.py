@@ -3,9 +3,15 @@
 Policies are deterministic maps from context ids to actions, stored as an
 explicit ``(num_policies, num_contexts)`` lookup table.  The oracle answers
 one query: the minimum cumulative loss any single policy attains on a
-weighted example sequence.  It is exact enumeration (vectorized over the
-table) and every invocation is counted, because the learner's efficiency
-claim is measured in oracle calls.
+weighted example sequence.  It is exact enumeration and every invocation is
+counted, because the learner's efficiency claim is measured in oracle calls.
+
+One call runs two numpy kernels.  :func:`context_action_sums` adds the
+examples into a flat per-(context, action) vector with a single
+``bincount``.  A flat gather then reads, for every policy, the cells it
+plays, through an ``(N, U)`` offset table built once per oracle, and sums
+each row.  Both kernels add in the same order as a per-action loop over a
+2-d index, so the results are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -92,6 +98,19 @@ class WeightedExample:
         object.__setattr__(self, "loss", loss)
 
 
+def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:
+    """Sum the (m, K) rows of ``values`` by context id into a (U, K) matrix.
+
+    One ``bincount`` over the flattened cells ``context * K + action``.  Each
+    cell adds its rows in input order, exactly as a per-action ``bincount``
+    would.  Context ids must lie in ``0..num_contexts-1``.
+    """
+    num_actions = values.shape[1]
+    cells = contexts[:, None] * num_actions + np.arange(num_actions)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=num_contexts * num_actions)
+    return sums.reshape(num_contexts, num_actions)
+
+
 class OracleStats:
     """Thread-safe count of oracle invocations (monotone non-decreasing)."""
 
@@ -119,8 +138,11 @@ class ValueOracle:
     def __init__(self, policy_class: PolicyClass, stats: OracleStats | None = None) -> None:
         self.policy_class = policy_class
         self.stats = stats if stats is not None else OracleStats()
-        self._table0 = policy_class.table - 1                    # (N, U) 0-based actions
-        self._cols = np.arange(policy_class.num_contexts)[None, :]
+        # (N, U) offsets into the flat (U * K) per-context loss vector:
+        # policy p at context u reads cell u * K + table[p, u] - 1.
+        flat = policy_class.table - 1
+        flat += np.arange(policy_class.num_contexts) * policy_class.num_actions
+        self._flat = flat
 
     def value(self, examples: Sequence[WeightedExample] | Iterable[WeightedExample]) -> float:
         """Minimum cumulative loss over the class on an example sequence."""
@@ -146,11 +168,8 @@ class ValueOracle:
             raise ValueError("context id outside the policy class universe")
         # Sum losses of repeated contexts first: policies depend on the
         # context id only, so this is exact and keeps the gather at (N, U).
-        per_context = np.empty((num_contexts, num_actions))
-        for a in range(num_actions):
-            per_context[:, a] = np.bincount(contexts, weights=losses[:, a], minlength=num_contexts)
-        per_policy = per_context[self._cols, self._table0].sum(axis=1)
-        return float(per_policy.min())
+        per_context = context_action_sums(contexts, losses, num_contexts)
+        return float(per_context.take(self._flat).sum(axis=1).min())
 
 
 def best_policy_loss(policy_class: PolicyClass, contexts, costs) -> float:
@@ -170,9 +189,8 @@ def best_policy_loss(policy_class: PolicyClass, contexts, costs) -> float:
     if costs.ndim != 2 or costs.shape[1] != policy_class.num_actions:
         raise ValueError(f"costs has shape {costs.shape}, expected (T, {policy_class.num_actions})")
     num_contexts = policy_class.num_contexts
-    per_context = np.empty((num_contexts, policy_class.num_actions))
-    for a in range(policy_class.num_actions):
-        per_context[:, a] = np.bincount(contexts, weights=costs[:, a], minlength=num_contexts)
-    table0 = policy_class.table - 1
-    per_policy = per_context[np.arange(num_contexts)[None, :], table0].sum(axis=1)
+    if contexts.min() < 0 or contexts.max() >= num_contexts:
+        raise ValueError("context id outside the policy class universe")
+    per_context = context_action_sums(contexts, costs, num_contexts)
+    per_policy = per_context[np.arange(num_contexts)[None, :], policy_class.table - 1].sum(axis=1)
     return float(per_policy.min())

@@ -126,6 +126,12 @@ def unbiasedness_check(
     vector (unless given), then repeatedly samples (action, coin) through
     the real code path and compares coordinate means against the analytic
     standard error ``sqrt((scale*c - c^2)/n)``.
+
+    ``UnbiasednessResult.passed`` allows 3 sigma on each coordinate, with no
+    correction for testing several at once.  With ``num_actions = 4`` (as
+    ``relaxcb verify`` runs it) a correct estimator therefore fails on
+    about 1 seed in 100: ``1 - (1 - 0.0027)**4 = 1.1%`` under the normal
+    approximation, and 2 of 300 seeds failed in practice.
     """
     raw = rng.random(num_actions)
     probs = (1.0 - num_actions / scale) * (raw / raw.sum()) + 1.0 / scale

@@ -63,6 +63,15 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("extra", [[], ["--reps", "2"], ["--seed", "4"], ["--learner", "exp4"]])
+    def test_non_object_config_with_overrides(self, tmp_path, capsys, extra):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([1, 2]))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o"), *extra])
+        assert code == 2
+        assert "config error: <config>: must be a JSON object" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes(self, capsys):
         code = main(["verify", "--quick", "--seed", "5"])

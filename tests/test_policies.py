@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from relaxcb import (
+    FutureDraw,
     OracleStats,
     PolicyClass,
     ValueOracle,
@@ -13,6 +14,8 @@ from relaxcb import (
     best_policy_loss,
     random_policy_class,
 )
+from relaxcb.learner import future_loss_matrix
+from relaxcb.policies import context_action_sums
 
 
 def brute_force_value(policy_class, examples):
@@ -24,6 +27,83 @@ def brute_force_value(policy_class, examples):
             total += float(ex.loss[policy_class.action_of(p, ex.context) - 1])
         best = total if best is None else min(best, total)
     return best if best is not None else 0.0
+
+
+def loop_per_context(contexts, values, num_contexts):
+    """Reference aggregation: one ``bincount`` per action column."""
+    per_context = np.empty((num_contexts, values.shape[1]))
+    for a in range(values.shape[1]):
+        per_context[:, a] = np.bincount(contexts, weights=values[:, a], minlength=num_contexts)
+    return per_context
+
+
+def loop_value(policy_class, contexts, losses):
+    """Reference oracle value: per-action aggregation, then a 2-d index gather."""
+    if len(contexts) == 0:
+        return 0.0
+    u = policy_class.num_contexts
+    per_context = loop_per_context(contexts, losses, u)
+    return float(per_context[np.arange(u)[None, :], policy_class.table - 1].sum(axis=1).min())
+
+
+def exactness_instances(rng):
+    """Random (class, contexts, losses) instances for bit-for-bit comparisons.
+
+    Covers K = 2 and 5, N up to 5000, empty sequences, repeated and
+    unordered contexts, and losses that are views into a larger array.
+    """
+    shapes = [(3, 2, 2), (7, 4, 2), (40, 10, 5), (500, 20, 2), (5000, 50, 5)]
+    for n, u, k in shapes:
+        pc = random_policy_class(n, u, k, rng)
+        for m in (0, 1, u, 3 * u + 1):
+            contexts = rng.integers(0, u, size=m)  # repeats, any order
+            wide = rng.normal(size=(m, 2 * k)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+            yield pc, contexts, np.ascontiguousarray(wide[:, :k])
+            yield pc, contexts, wide[:, ::2]  # non-contiguous rows and columns
+
+
+class TestFlatAggregationExactness:
+    """The flat ``bincount`` and flat gather equal the per-action loop exactly."""
+
+    def test_context_action_sums(self):
+        for pc, contexts, losses in exactness_instances(np.random.default_rng(11)):
+            got = context_action_sums(contexts, losses, pc.num_contexts)
+            assert np.array_equal(got, loop_per_context(contexts, losses, pc.num_contexts))
+
+    def test_value_arrays(self):
+        for pc, contexts, losses in exactness_instances(np.random.default_rng(12)):
+            oracle = ValueOracle(pc)
+            assert oracle.value_arrays(contexts, losses) == loop_value(pc, contexts, losses)
+            assert oracle.stats.calls == 1
+
+    def test_value_arrays_on_every_context_once(self):
+        # the learner's query: contexts = arange(U), one aggregated row each
+        rng = np.random.default_rng(13)
+        for n, u, k in [(4, 2, 2), (50, 10, 5), (5000, 50, 5)]:
+            pc = random_policy_class(n, u, k, rng)
+            contexts = np.arange(u)
+            for _ in range(5):
+                losses = rng.normal(size=(u, k)) * 100.0
+                assert ValueOracle(pc).value_arrays(contexts, losses) == loop_value(pc, contexts, losses)
+
+    def test_best_policy_loss(self):
+        for pc, contexts, costs in exactness_instances(np.random.default_rng(14)):
+            assert best_policy_loss(pc, contexts, costs) == loop_value(pc, contexts, costs)
+
+    def test_future_loss_matrix(self):
+        rng = np.random.default_rng(15)
+        for u, k in [(2, 2), (10, 5), (50, 5)]:
+            for n, hit in [(0, 0.5), (1, 1.0), (40, 0.0), (40, 0.3), (700, 0.6)]:
+                scale = float(rng.uniform(k, 3 * k))
+                rho = FutureDraw(
+                    contexts=rng.integers(0, u, size=n),
+                    signs=rng.integers(0, 2, size=(n, k)) * 2 - 1,
+                    magnitudes=np.where(rng.random(n) < hit, scale, 0.0),
+                )
+                nz = rho.magnitudes > 0.0
+                weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
+                expected = loop_per_context(rho.contexts[nz], weighted, u)
+                assert np.array_equal(future_loss_matrix(rho, u, k), expected)
 
 
 class TestPolicyClass:
@@ -146,6 +226,12 @@ class TestBestPolicyLoss:
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         with pytest.raises(ValueError, match="contexts but"):
             best_policy_loss(pc, [0, 1], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("context", [-1, 2])
+    def test_rejects_out_of_universe_context(self, context):
+        pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
+        with pytest.raises(ValueError, match="universe"):
+            best_policy_loss(pc, [0, context], np.zeros((2, 2)))
 
     def test_matches_loop_enumeration(self):
         rng = np.random.default_rng(3)
