@@ -13,14 +13,12 @@ from .core import (
     FutureDraw,
     HistoryRecord,
     build_estimate,
-    check_cost_vector,
     draw_estimator_coin,
 )
 from .policies import (
     OracleStats,
     PolicyClass,
     ValueOracle,
-    WeightedExample,
     best_policy_loss,
     random_policy_class,
 )
@@ -43,7 +41,6 @@ from .environments import (
     ContextDistribution,
     CostSchedule,
     make_adversary,
-    sample_context,
 )
 from .baselines import (
     Exp4State,
@@ -93,13 +90,11 @@ __all__ = [
     "RelaxationLearner",
     "RunResult",
     "ValueOracle",
-    "WeightedExample",
     "admissibility_check",
     "best_policy_loss",
     "bound_curve",
     "brute_force_minimax",
     "build_estimate",
-    "check_cost_vector",
     "draw_estimator_coin",
     "emit_outputs",
     "exp4_distribution",
@@ -116,7 +111,6 @@ __all__ = [
     "random_policy_class",
     "relaxation_value",
     "run_experiment",
-    "sample_context",
     "sample_future",
     "simplex_grid",
     "step",

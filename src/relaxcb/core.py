@@ -39,31 +39,37 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, len(probs) - 1)
 
 
+def check_simplex(probs) -> np.ndarray:
+    """Validate a probability vector and return it renormalized and read-only.
+
+    Accepts vectors whose sum deviates from 1 by at most ``SIMPLEX_ATOL``
+    (and whose entries are at least ``-SIMPLEX_ATOL``); anything worse is
+    rejected.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError("probs must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probs must be finite")
+    if np.any(probs < -SIMPLEX_ATOL):
+        raise ValueError(f"negative probability entry: {probs.min()!r}")
+    total = float(probs.sum())
+    if abs(total - 1.0) > SIMPLEX_ATOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    probs.flags.writeable = False
+    return probs
+
+
 @dataclass(frozen=True)
 class ActionDistribution:
-    """Probability vector over the K actions.
-
-    Construction accepts vectors whose sum deviates from 1 by at most
-    ``SIMPLEX_ATOL`` and renormalizes them; anything worse is rejected.
-    """
+    """Probability vector over the K actions, validated by :func:`check_simplex`."""
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite")
-        if np.any(probs < -SIMPLEX_ATOL):
-            raise ValueError(f"negative probability entry: {probs.min()!r}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_simplex(self.probs))
 
     @property
     def num_actions(self) -> int:
@@ -76,21 +82,6 @@ class ActionDistribution:
     def sample(self, rng: np.random.Generator) -> ActionIndex:
         """Draw a 1-based action, consuming one uniform."""
         return sample_index(self.probs, rng) + 1
-
-    def expected_cost(self, costs: np.ndarray) -> float:
-        return float(self.probs @ np.asarray(costs, dtype=float))
-
-
-def check_cost_vector(values, num_actions: int) -> np.ndarray:
-    """Validate a per-action cost vector: length K, entries in [0, 1]."""
-    c = np.asarray(values, dtype=float)
-    if c.shape != (num_actions,):
-        raise ValueError(f"cost vector has shape {c.shape}, expected ({num_actions},)")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost vector must be finite")
-    if c.min() < 0.0 or c.max() > 1.0:
-        raise ValueError(f"cost entries must lie in [0, 1], got range [{c.min()}, {c.max()}]")
-    return c
 
 
 @dataclass(frozen=True)
@@ -111,21 +102,6 @@ class EstimatedCost:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.coordinate < 0:
             raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coordinate == 0
-
-    def to_vector(self, num_actions: int) -> np.ndarray:
-        if self.coordinate > num_actions:
-            raise ValueError(f"coordinate {self.coordinate} exceeds {num_actions} actions")
-        v = np.zeros(num_actions)
-        if self.coordinate:
-            v[self.coordinate - 1] = self.scale
-        return v
-
-    def value_at(self, action: ActionIndex) -> float:
-        return self.scale if action == self.coordinate else 0.0
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIMPLEX_ATOL, Context, sample_index
+from .core import check_simplex, sample_index
 from .policies import PolicyClass
 
 ADVERSARY_TYPES = ("stochastic-gap", "drifting", "policy-targeted")
@@ -24,18 +24,7 @@ class ContextDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty 1-d vector")
-        if np.any(probs < -SIMPLEX_ATOL) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite and non-negative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_simplex(self.probs))
 
     @property
     def num_contexts(self) -> int:
@@ -55,11 +44,6 @@ class ContextDistribution:
         return np.minimum(idx, self.num_contexts - 1).astype(np.int64)
 
 
-def sample_context(dist: ContextDistribution, rng: np.random.Generator) -> Context:
-    """Draw one context id from the distribution."""
-    return dist.sample(rng)
-
-
 @dataclass(frozen=True)
 class CostSchedule:
     """A full horizon of cost vectors, fixed before the run (oblivious)."""
@@ -74,18 +58,6 @@ class CostSchedule:
             raise ValueError("cost entries must lie in [0, 1]")
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
-
-    @property
-    def horizon(self) -> int:
-        return int(self.costs.shape[0])
-
-    @property
-    def num_actions(self) -> int:
-        return int(self.costs.shape[1])
-
-    def vector(self, t: int) -> np.ndarray:
-        """Cost vector of (1-based) round ``t``."""
-        return self.costs[t - 1]
 
     def cost(self, t: int, action: int) -> float:
         return float(self.costs[t - 1, action - 1])

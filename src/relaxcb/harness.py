@@ -2,9 +2,8 @@
 
 Randomness is split from a single master seed with ``numpy.random.SeedSequence``:
 each replication spawns one child sequence, which in turn spawns one stream
-for the context draws and one for the learner, in that order.  Serial and
-parallel execution therefore agree bit for bit, and (config, seed) fully
-determine every output file.
+for the context draws and one for the learner, in that order, so (config,
+seed) fully determine every output file.
 """
 
 from __future__ import annotations
@@ -34,10 +33,11 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def theoretical_bound(num_actions: int, horizon: int, scale: float, num_policies: int) -> float:
-    """Regret cap for the relaxation learner at the given scale.
+def bound_curve(num_actions: int, horizon: int, scale: float, num_policies: int) -> np.ndarray:
+    """Regret cap for the relaxation learner at every prefix length 1..T.
 
-    ``2*sqrt(2*T*K*scale*ln(N)) + T*K/scale`` with the natural log.
+    ``2*sqrt(2*t*K*scale*ln(N)) + t*K/scale`` with the natural log and a
+    fixed scale.
     """
     if scale < num_actions:
         raise ValueError(f"scale must be >= K, got scale={scale}, K={num_actions}")
@@ -45,17 +45,14 @@ def theoretical_bound(num_actions: int, horizon: int, scale: float, num_policies
         raise ValueError(f"need at least 2 policies, got {num_policies}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    log_n = math.log(num_policies)
-    return 2.0 * math.sqrt(2.0 * horizon * num_actions * scale * log_n) + horizon * num_actions / scale
-
-
-def bound_curve(num_actions: int, horizon: int, scale: float, num_policies: int) -> np.ndarray:
-    """The bound evaluated at every prefix length 1..T with a fixed scale."""
-    if scale < num_actions or num_policies < 2 or horizon < 1:
-        raise ValueError("invalid bound parameters")
     rounds = np.arange(1, horizon + 1, dtype=float)
     log_n = math.log(num_policies)
     return 2.0 * np.sqrt(2.0 * rounds * num_actions * scale * log_n) + rounds * num_actions / scale
+
+
+def theoretical_bound(num_actions: int, horizon: int, scale: float, num_policies: int) -> float:
+    """The regret cap at the full horizon: the last entry of :func:`bound_curve`."""
+    return float(bound_curve(num_actions, horizon, scale, num_policies)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +77,8 @@ def validate_config(config: dict) -> dict:
     if cfg["L"] != "auto":
         if not isinstance(cfg["L"], (int, float)) or isinstance(cfg["L"], bool):
             raise ConfigError("L", f"must be 'auto' or a number, got {cfg['L']!r}")
+        if not math.isfinite(cfg["L"]):
+            raise ConfigError("L", f"must be finite, got {cfg['L']!r}")
         if cfg["L"] < k:
             raise ConfigError("L", f"must be >= K={k}, got {cfg['L']}")
         cfg["L"] = float(cfg["L"])
@@ -107,6 +106,12 @@ def validate_config(config: dict) -> dict:
         widths = {len(r) for r in table}
         if len(widths) != 1:
             raise ConfigError("policyClass.table", "rows must have equal length")
+        for row in table:
+            for entry in row:
+                if not isinstance(entry, int) or isinstance(entry, bool) or not 1 <= entry <= k:
+                    raise ConfigError(
+                        "policyClass.table", f"entries must be integers in 1..{k}, got {entry!r}"
+                    )
     else:
         raise ConfigError("policyClass.type", f"must be 'table' or 'explicit', got {pc_type!r}")
 
@@ -381,7 +386,7 @@ def _run_one(
         seed=seed,
         rep=rep,
         min_play_prob=min_play,
-        max_coin_prob=learner.max_coin_prob if learner is not None else 0.0,
+        max_coin_prob=min(learner.max_raw_coin_prob, 1.0) if learner is not None else 0.0,
         max_raw_coin_prob=learner.max_raw_coin_prob if learner is not None else 0.0,
     )
 

@@ -128,6 +128,18 @@ class OracleScores:
         return cls(minima=minima, gaps=(minima[1:] - minima[0]) / scale)
 
 
+def _checked_source(config: LearnerConfig, context_source: ContextSource) -> ContextSource:
+    """The context source, checked against the mode (a sequence comes back as int64)."""
+    if config.mode == "transductive":
+        seq = np.asarray(context_source, dtype=np.int64)
+        if seq.shape != (config.T,):
+            raise ValueError(f"transductive context sequence must have length {config.T}")
+        return seq
+    if not isinstance(context_source, ContextDistribution):
+        raise TypeError("iid-sampler mode needs a ContextDistribution source")
+    return context_source
+
+
 def sample_future(
     t: int,
     config: LearnerConfig,
@@ -146,15 +158,11 @@ def sample_future(
     if t < 0:
         raise ValueError(f"round must be >= 0, got {t}")
     n = config.T - t
+    source = _checked_source(config, context_source)
     if config.mode == "transductive":
-        seq = np.asarray(context_source, dtype=np.int64)
-        if seq.shape != (config.T,):
-            raise ValueError(f"transductive context sequence must have length {config.T}")
-        contexts = seq[t:].copy()
+        contexts = source[t:].copy()
     else:
-        if not isinstance(context_source, ContextDistribution):
-            raise TypeError("iid-sampler mode needs a ContextDistribution source")
-        contexts = context_source.sample(rng, size=n)
+        contexts = source.sample(rng, size=n)
     signs = rng.integers(0, 2, size=(n, config.K)) * 2 - 1
     hit = rng.random(n) < config.K / config.scale
     magnitudes = np.where(hit, config.scale, 0.0)
@@ -185,6 +193,14 @@ def future_loss_matrix(rho: FutureDraw, num_contexts: int, num_actions: int) -> 
         return np.zeros((num_contexts, num_actions))
     weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
     return context_action_sums(rho.contexts[nz], weighted, num_contexts)
+
+
+def _loss_matrix(history: Sequence, rho: FutureDraw, config: LearnerConfig, oracle: ValueOracle):
+    """Recorded estimates plus the perturbation terms of ``rho``, as one (U, K) matrix."""
+    num_contexts = oracle.policy_class.num_contexts
+    base = past_loss_matrix(history, num_contexts, config.K)
+    base += future_loss_matrix(rho, num_contexts, config.K)
+    return base
 
 
 def _scores_from_matrix(
@@ -218,29 +234,20 @@ def oracle_scores(
     estimates, the single charge at the current context (absent for index
     0), and the perturbation terms from ``rho``; exactly K+1 calls total.
     """
-    num_contexts = oracle.policy_class.num_contexts
-    base = past_loss_matrix(history, num_contexts, config.K)
-    base += future_loss_matrix(rho, num_contexts, config.K)
-    return _scores_from_matrix(base, x_t, config, oracle)
+    return _scores_from_matrix(_loss_matrix(history, rho, config, oracle), x_t, config, oracle)
 
 
-REMAINDER_RULES = ("largest-gap", "lowest-index")
-
-
-def water_fill(gaps, remainder_rule: str = "largest-gap") -> ActionDistribution:
+def water_fill(gaps) -> ActionDistribution:
     """Sequentially fill coordinates up to their (positive) gaps.
 
     Walks coordinates in order 1..K, assigning ``min(max(gap, 0), m)`` to
     each while mass ``m`` (initially 1) lasts.  Any remaining mass goes to
-    one coordinate chosen by ``remainder_rule``: the largest gap with ties
-    to the lowest index (default), or plainly the lowest index.  Any real
-    gap vector is acceptable.
+    the largest gap, ties to the lowest index.  Any real gap vector is
+    acceptable.
     """
     gaps = np.asarray(gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size == 0 or not np.all(np.isfinite(gaps)):
         raise ValueError("gaps must be a finite 1-d vector")
-    if remainder_rule not in REMAINDER_RULES:
-        raise ValueError(f"remainder_rule must be one of {REMAINDER_RULES}")
     q = np.zeros(gaps.size)
     m = 1.0
     for i in range(gaps.size):
@@ -248,8 +255,7 @@ def water_fill(gaps, remainder_rule: str = "largest-gap") -> ActionDistribution:
         q[i] = fill
         m -= fill
     if m > 0.0:
-        j = int(np.argmax(gaps)) if remainder_rule == "largest-gap" else 0
-        q[j] += m
+        q[int(np.argmax(gaps))] += m
     return ActionDistribution(q)
 
 
@@ -311,10 +317,8 @@ def relaxation_value(
     t = len(history)
     if len(rho) != config.T - t:
         raise ValueError(f"draw covers {len(rho)} rounds, expected {config.T - t}")
-    num_contexts = oracle.policy_class.num_contexts
-    base = past_loss_matrix(history, num_contexts, config.K)
-    base += future_loss_matrix(rho, num_contexts, config.K)
-    value = oracle.value_arrays(np.arange(num_contexts), base)
+    contexts = np.arange(oracle.policy_class.num_contexts)
+    value = oracle.value_arrays(contexts, _loss_matrix(history, rho, config, oracle))
     return -value + (config.T - t) * config.K / config.scale
 
 
@@ -328,41 +332,25 @@ def step(
     context_source: ContextSource,
     rng: np.random.Generator,
 ) -> tuple[ActionIndex, list[HistoryRecord]]:
-    """Play round ``t``: sample, score, play, estimate, append.
+    """Play round ``t`` after ``history`` with :meth:`RelaxationLearner.play_round`.
 
-    ``cost_of`` reveals just the played action's cost, preserving bandit
-    feedback.  The estimator coin uses the realized play distribution of
-    this round (the one actually sampled from), so its success probability
-    stays at most 1.  Returns the played action and the extended history.
+    Returns the played action and the extended history (a new list).
     """
     if t != len(history) + 1:
         raise ValueError(f"round {t} does not follow a history of {len(history)} rounds")
-    if t > config.T:
-        raise ValueError(f"round {t} beyond horizon {config.T}")
-    rho = sample_future(t, config, context_source, rng)
-    scores = oracle_scores(history, x_t, rho, config, oracle)
-    dist = play_distribution(scores, config)
-    action = dist.sample(rng)
-    cost = float(cost_of(action))
-    coin = draw_estimator_coin(cost, float(dist.probs[action - 1]), config.scale, rng)
-    record = HistoryRecord(
-        context=x_t,
-        played_dist=dist,
-        played_action=action,
-        observed_cost=cost,
-        estimate=build_estimate(action, coin, config.scale),
-    )
-    return action, history + [record]
+    learner = RelaxationLearner(config, oracle, context_source, history)
+    record = learner.play_round(x_t, cost_of, rng)
+    return record.played_action, learner.history
 
 
 class RelaxationLearner:
-    """Stateful engine for full runs; one instance per replication.
+    """The round engine; one instance per replication.
 
-    Produces exactly the same trace as repeated :func:`step` calls (same
-    oracle queries, same rng consumption) but keeps the per-context sum of
-    recorded estimates incrementally instead of rebuilding it every round.
-    Instances are single-threaded; run replications in parallel with
-    independent generators instead of sharing one.
+    Keeps the per-context sum of recorded estimates incrementally instead of
+    rebuilding it every round.  ``history`` optionally gives the rounds
+    already played (:func:`step` starts from one).  Instances are
+    single-threaded; run replications in parallel with independent
+    generators instead of sharing one.
     """
 
     def __init__(
@@ -370,22 +358,16 @@ class RelaxationLearner:
         config: LearnerConfig,
         oracle: ValueOracle,
         context_source: ContextSource,
+        history: Sequence[HistoryRecord] = (),
     ) -> None:
-        if config.mode == "iid-sampler" and not isinstance(context_source, ContextDistribution):
-            raise TypeError("iid-sampler mode needs a ContextDistribution source")
-        if config.mode == "transductive":
-            seq = np.asarray(context_source, dtype=np.int64)
-            if seq.shape != (config.T,):
-                raise ValueError(f"transductive context sequence must have length {config.T}")
+        _checked_source(config, context_source)
         self.config = config
         self.oracle = oracle
         self.context_source = context_source
-        self.history: list[HistoryRecord] = []
-        num_contexts = oracle.policy_class.num_contexts
-        self._past = np.zeros((num_contexts, config.K))
+        self.history: list[HistoryRecord] = list(history)
+        self._past = past_loss_matrix(self.history, oracle.policy_class.num_contexts, config.K)
         self.min_play_prob = float("inf")
-        self.max_coin_prob = 0.0   # clamped Bernoulli parameter actually used
-        self.max_raw_coin_prob = 0.0
+        self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
 
     @property
     def round(self) -> int:
@@ -398,6 +380,13 @@ class RelaxationLearner:
         cost_of: Callable[[ActionIndex], float],
         rng: np.random.Generator,
     ) -> HistoryRecord:
+        """Play the next round: sample, score, play, estimate, record.
+
+        ``cost_of`` reveals just the played action's cost, preserving bandit
+        feedback.  The estimator coin uses the realized play distribution of
+        this round (the one actually sampled from), so its success
+        probability stays at most 1.
+        """
         t = self.round
         if t > self.config.T:
             raise ValueError(f"round {t} beyond horizon {self.config.T}")
@@ -411,9 +400,7 @@ class RelaxationLearner:
         cost = float(cost_of(action))
         prob = float(dist.probs[action - 1])
         coin = draw_estimator_coin(cost, prob, config.scale, rng)
-        raw = cost / (config.scale * prob)
-        self.max_raw_coin_prob = max(self.max_raw_coin_prob, raw)
-        self.max_coin_prob = max(self.max_coin_prob, min(raw, 1.0))
+        self.max_raw_coin_prob = max(self.max_raw_coin_prob, cost / (config.scale * prob))
         self.min_play_prob = min(self.min_play_prob, float(dist.probs.min()))
         record = HistoryRecord(
             context=x_t,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,21 +82,6 @@ def random_policy_class(
     raise RuntimeError(f"no action-covering table found in {max_tries} tries")
 
 
-@dataclass(frozen=True)
-class WeightedExample:
-    """One (context, per-action loss vector) pair fed to the oracle."""
-
-    context: Context
-    loss: np.ndarray
-
-    def __post_init__(self) -> None:
-        loss = np.asarray(self.loss, dtype=float)
-        if loss.ndim != 1 or not np.all(np.isfinite(loss)):
-            raise ValueError("loss must be a finite 1-d vector")
-        loss.flags.writeable = False
-        object.__setattr__(self, "loss", loss)
-
-
 def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:
     """Sum the (m, K) rows of ``values`` by context id into a (U, K) matrix.
 
@@ -144,18 +128,8 @@ class ValueOracle:
         flat += np.arange(policy_class.num_contexts) * policy_class.num_actions
         self._flat = flat
 
-    def value(self, examples: Sequence[WeightedExample] | Iterable[WeightedExample]) -> float:
-        """Minimum cumulative loss over the class on an example sequence."""
-        examples = list(examples)
-        k = self.policy_class.num_actions
-        if not examples:
-            return self.value_arrays(np.zeros(0, dtype=np.int64), np.zeros((0, k)))
-        contexts = np.fromiter((ex.context for ex in examples), dtype=np.int64, count=len(examples))
-        losses = np.stack([ex.loss for ex in examples])
-        return self.value_arrays(contexts, losses)
-
     def value_arrays(self, contexts: np.ndarray, losses: np.ndarray) -> float:
-        """Array fast path: ``contexts`` is (m,) ids, ``losses`` is (m, K)."""
+        """Best cumulative loss over the class: ``contexts`` is (m,) ids, ``losses`` is (m, K)."""
         self.stats.increment()
         m = len(contexts)
         if m == 0:

@@ -62,6 +62,24 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_scale(self, config_file, tmp_path, capsys, value):
+        # Python's json module accepts these non-standard literals
+        text = config_file.read_text().replace('"L": 4.0', f'"L": {value}')
+        assert value in text
+        config_file.write_text(text)
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: L: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [1.5, True, None, 0, 3])
+    def test_explicit_table_entries(self, config_file, tmp_path, capsys, entry):
+        config = json.loads(config_file.read_text())
+        config["policyClass"] = {"type": "explicit", "table": [[1, 2, 1], [2, entry, 2]]}
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error: policyClass.table: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--reps", "2"], ["--seed", "4"], ["--learner", "exp4"]])
     def test_non_object_config_with_overrides(self, tmp_path, capsys, extra):

@@ -9,10 +9,10 @@ from relaxcb import (
     FutureDraw,
     HistoryRecord,
     build_estimate,
-    check_cost_vector,
     draw_estimator_coin,
 )
 from relaxcb.core import sample_index
+from relaxcb.learner import past_loss_matrix
 
 
 class TestActionDistribution:
@@ -66,31 +66,15 @@ class TestActionDistribution:
         assert cfg_rng.random() == ref_rng.random()
 
 
-class TestCostVector:
-    def test_valid(self):
-        c = check_cost_vector([0.0, 0.5, 1.0], 3)
-        assert c.shape == (3,)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            check_cost_vector([0.0, 1.5], 2)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="shape"):
-            check_cost_vector([0.1, 0.2, 0.3], 2)
-
-
 class TestEstimatedCost:
+    # the learner adds estimates into its (U, K) loss matrix as dense vectors
     def test_spike_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=2)
-        np.testing.assert_allclose(est.to_vector(3), [0.0, 4.0, 0.0])
-        assert est.value_at(2) == 4.0
-        assert est.value_at(1) == 0.0
+        np.testing.assert_array_equal(past_loss_matrix([(0, est)], 1, 3), [[0.0, 4.0, 0.0]])
 
     def test_zero_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=0)
-        assert est.is_zero
-        np.testing.assert_allclose(est.to_vector(3), 0.0)
+        np.testing.assert_array_equal(past_loss_matrix([(0, est)], 1, 3), [[0.0, 0.0, 0.0]])
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -171,12 +155,10 @@ class TestEstimatorCoin:
 
 class TestBuildEstimate:
     def test_spike(self):
-        est = build_estimate(2, 1, 4.0)
-        np.testing.assert_allclose(est.to_vector(3), [0.0, 4.0, 0.0])
+        assert build_estimate(2, 1, 4.0) == EstimatedCost(scale=4.0, coordinate=2)
 
     def test_zero(self):
-        est = build_estimate(2, 0, 4.0)
-        assert est.is_zero
+        assert build_estimate(2, 0, 4.0).coordinate == 0
 
     def test_rejects_bad_coin(self):
         with pytest.raises(ValueError, match="coin"):
@@ -190,11 +172,8 @@ class TestBuildEstimate:
             action = int(rng.integers(1, 5))
             coin = draw_estimator_coin(rng.random(), 0.25, scale, rng)
             est = build_estimate(action, coin, scale)
-            vec = est.to_vector(4)
-            nonzero = vec[vec != 0.0]
-            assert nonzero.size in (0, 1)
-            if nonzero.size:
-                assert nonzero[0] == scale
+            assert est.coordinate == (action if coin else 0)
+            assert est.scale == scale
 
 
 class TestUnbiasedness:

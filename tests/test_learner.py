@@ -182,7 +182,8 @@ class TestOracleScores:
                 for p in range(n):
                     total = 0.0
                     for rec in history:
-                        total += rec.estimate.value_at(pc.action_of(p, rec.context))
+                        if rec.estimate.coordinate == pc.action_of(p, rec.context):
+                            total += scale
                     if i and pc.action_of(p, x_t) == i:
                         total += scale
                     for j in range(len(rho)):
@@ -205,14 +206,6 @@ class TestWaterFill:
     def test_mass_exhausts_in_order(self):
         q = water_fill([0.8, 0.9])
         np.testing.assert_allclose(q.probs, [0.8, 0.2])
-
-    def test_lowest_index_rule(self):
-        q = water_fill([0.1, 0.5], remainder_rule="lowest-index")
-        np.testing.assert_allclose(q.probs, [0.5, 0.5])
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="remainder_rule"):
-            water_fill([0.5, 0.5], remainder_rule="x")
 
     def test_always_a_valid_distribution(self):
         rng = np.random.default_rng(3)
@@ -332,7 +325,8 @@ class TestRelaxationValue:
             for p in range(n):
                 total = 0.0
                 for ctx, est in history:
-                    total += est.value_at(pc.action_of(p, ctx))
+                    if est.coordinate == pc.action_of(p, ctx):
+                        total += scale
                 for j in range(len(rho)):
                     a = pc.action_of(p, int(rho.contexts[j]))
                     total += 2.0 * rho.signs[j, a - 1] * rho.magnitudes[j]
@@ -400,6 +394,18 @@ class TestStep:
         pc, cfg, dist = self.setup_instance()
         with pytest.raises(ValueError, match="history"):
             step(2, [], 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, np.random.default_rng(0))
+
+    def test_round_beyond_horizon_rejected(self):
+        pc, cfg, dist = self.setup_instance(horizon=3)
+        costs = np.random.default_rng(2).random((3, 2))
+        rng = np.random.default_rng(1)
+        learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
+        for t in range(1, 4):
+            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng)
+        with pytest.raises(ValueError, match="horizon"):
+            learner.play_round(0, lambda a: 0.0, rng)
+        with pytest.raises(ValueError, match="horizon"):
+            step(4, learner.history, 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, rng)
 
     def test_class_engine_matches_functional_step(self):
         pc, cfg, dist = self.setup_instance(seed=11, horizon=6)

@@ -10,7 +10,6 @@ from relaxcb import (
     OracleStats,
     PolicyClass,
     ValueOracle,
-    WeightedExample,
     best_policy_loss,
     random_policy_class,
 )
@@ -18,13 +17,13 @@ from relaxcb.learner import future_loss_matrix
 from relaxcb.policies import context_action_sums
 
 
-def brute_force_value(policy_class, examples):
+def brute_force_value(policy_class, contexts, losses):
     """Reference oracle: plain double loop over policies and examples."""
     best = None
     for p in range(policy_class.num_policies):
         total = 0.0
-        for ex in examples:
-            total += float(ex.loss[policy_class.action_of(p, ex.context) - 1])
+        for x, loss in zip(contexts, losses):
+            total += float(loss[policy_class.action_of(p, x) - 1])
         best = total if best is None else min(best, total)
     return best if best is not None else 0.0
 
@@ -144,25 +143,22 @@ class TestRandomPolicyClass:
 class TestValueOracle:
     def test_empty_sequence_is_zero(self):
         oracle = ValueOracle(PolicyClass(table=np.array([[1, 2]]), num_actions=2))
-        assert oracle.value([]) == 0.0
+        assert oracle.value_arrays(np.zeros(0, dtype=np.int64), np.zeros((0, 2))) == 0.0
         assert oracle.stats.calls == 1
 
     def test_two_policy_example(self):
         # constant policies x->1 and x->2; one example with losses (0.3, 0.7)
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        value = oracle.value([WeightedExample(0, np.array([0.3, 0.7]))])
+        value = oracle.value_arrays(np.array([0]), np.array([[0.3, 0.7]]))
         assert value == pytest.approx(0.3)
 
     def test_singleton_class_exact_sum(self):
         pc = PolicyClass(table=np.array([[2, 1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        examples = [
-            WeightedExample(0, np.array([0.1, 0.9])),
-            WeightedExample(2, np.array([0.4, 0.2])),
-            WeightedExample(1, np.array([0.5, 0.8])),
-        ]
-        assert oracle.value(examples) == pytest.approx(0.9 + 0.2 + 0.5)
+        contexts = np.array([0, 2, 1])
+        losses = np.array([[0.1, 0.9], [0.4, 0.2], [0.5, 0.8]])
+        assert oracle.value_arrays(contexts, losses) == pytest.approx(0.9 + 0.2 + 0.5)
 
     def test_matches_brute_force_on_random_inputs(self):
         rng = np.random.default_rng(1)
@@ -171,17 +167,18 @@ class TestValueOracle:
             pc = PolicyClass(table=rng.integers(1, k + 1, size=(n, u)), num_actions=k)
             oracle = ValueOracle(pc)
             m = int(rng.integers(0, 12))
-            examples = [
-                WeightedExample(int(rng.integers(u)), rng.normal(size=k)) for _ in range(m)
-            ]
-            assert oracle.value(examples) == pytest.approx(brute_force_value(pc, examples))
+            contexts = rng.integers(0, u, size=m)
+            losses = rng.normal(size=(m, k))
+            assert oracle.value_arrays(contexts, losses) == pytest.approx(
+                brute_force_value(pc, contexts, losses)
+            )
 
     def test_call_accounting(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         stats = OracleStats()
         oracle = ValueOracle(pc, stats=stats)
         for expect in range(1, 6):
-            oracle.value([WeightedExample(0, np.array([0.5, 0.5]))])
+            oracle.value_arrays(np.array([0]), np.array([[0.5, 0.5]]))
             assert stats.calls == expect
 
     def test_concurrent_increments_not_lost(self):
@@ -205,7 +202,7 @@ class TestValueOracle:
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
         with pytest.raises(ValueError, match="universe"):
-            oracle.value([WeightedExample(5, np.array([0.1, 0.2]))])
+            oracle.value_arrays(np.array([5]), np.array([[0.1, 0.2]]))
 
 
 class TestBestPolicyLoss:
