@@ -86,7 +86,7 @@ def validate_config(config: dict) -> dict:
     if cfg["learner"] not in LEARNERS:
         raise ConfigError("learner", f"must be one of {LEARNERS}, got {cfg['learner']!r}")
     cfg["reps"] = _require_int(cfg, "reps", minimum=1, default=1)
-    cfg["seed"] = _require_int(cfg, "seed", default=0)
+    cfg["seed"] = _require_int(cfg, "seed", minimum=0, default=0)
 
     pc = cfg.get("policyClass")
     if not isinstance(pc, dict):
@@ -95,7 +95,7 @@ def validate_config(config: dict) -> dict:
     if pc_type == "table":
         _require_int(pc, "N", minimum=1, path="policyClass.N")
         _require_int(pc, "U", minimum=1, path="policyClass.U")
-        _require_int(pc, "seed", path="policyClass.seed")
+        _require_int(pc, "seed", minimum=0, path="policyClass.seed")
         pc.setdefault("K", k)
         if pc["K"] != k:
             raise ConfigError("policyClass.K", f"must equal top-level K={k}, got {pc['K']}")
@@ -128,7 +128,7 @@ def validate_config(config: dict) -> dict:
     ctx.setdefault("probs", "uniform")
     probs = ctx["probs"]
     if probs == "random":
-        _require_int(ctx, "seed", path="environment.context.seed")
+        _require_int(ctx, "seed", minimum=0, path="environment.context.seed")
     elif probs != "uniform":
         if not isinstance(probs, list) or len(probs) != u:
             raise ConfigError(
@@ -156,7 +156,7 @@ def validate_config(config: dict) -> dict:
     if adv["type"] in ("drifting", "policy-targeted"):
         _require_int(adv, "period", minimum=1, path="environment.adversary.period")
     adv.setdefault("seed", cfg["seed"])
-    _require_int(adv, "seed", path="environment.adversary.seed")
+    _require_int(adv, "seed", minimum=0, path="environment.adversary.seed")
     return cfg
 
 

@@ -349,8 +349,8 @@ class RelaxationLearner:
     Keeps the per-context sum of recorded estimates incrementally instead of
     rebuilding it every round.  ``history`` optionally gives the rounds
     already played (:func:`step` starts from one).  Instances are
-    single-threaded; run replications in parallel with independent
-    generators instead of sharing one.
+    single-threaded.  Each replication gets its own learner, oracle and
+    generator, as the harness does; there is no parallel path.
     """
 
     def __init__(

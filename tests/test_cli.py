@@ -81,6 +81,24 @@ class TestRunCommand:
         assert code == 2
         assert "config error: policyClass.table: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path",
+        ["seed", "policyClass.seed", "environment.context.seed", "environment.adversary.seed"],
+    )
+    def test_negative_seed(self, config_file, tmp_path, capsys, path):
+        config = json.loads(config_file.read_text())
+        config["environment"]["context"]["probs"] = "random"  # the context seed is read only then
+        config["environment"]["context"]["seed"] = 4
+        *parents, key = path.split(".")
+        obj = config
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = -1
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--reps", "2"], ["--seed", "4"], ["--learner", "exp4"]])
     def test_non_object_config_with_overrides(self, tmp_path, capsys, extra):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Policy classes, the value oracle, and the hindsight comparator."""
 
+import sys
 import threading
 
 import numpy as np
@@ -14,7 +15,7 @@ from relaxcb import (
     random_policy_class,
 )
 from relaxcb.learner import future_loss_matrix
-from relaxcb.policies import context_action_sums
+from relaxcb.policies import REMEMBER_MIN_CELLS, context_action_sums
 
 
 def brute_force_value(policy_class, contexts, losses):
@@ -103,6 +104,134 @@ class TestFlatAggregationExactness:
                 weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
                 expected = loop_per_context(rho.contexts[nz], weighted, u)
                 assert np.array_equal(future_loss_matrix(rho, u, k), expected)
+
+
+def same_value(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestIncrementalOracle:
+    """An oracle that remembers its last full query answers exactly as a fresh one."""
+
+    def ask(self, oracle, losses):
+        """One query on every context once; checks the count and a fresh oracle's answer."""
+        contexts = np.arange(oracle.policy_class.num_contexts)
+        before = oracle.stats.calls
+        got = oracle.value_arrays(contexts, losses)
+        assert oracle.stats.calls == before + 1
+        assert same_value(got, ValueOracle(oracle.policy_class).value_arrays(contexts, losses))
+        return got
+
+    def sized_classes(self, rng):
+        """Classes one row below and exactly at the memory threshold, at K=2 and 5."""
+        for k in (2, 5):
+            for u in (4, 16):
+                for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
+                    yield random_policy_class(n, u, k, rng)
+
+    def test_base_then_charges_on_both_sides_of_the_threshold(self):
+        rng = np.random.default_rng(21)
+        for pc in self.sized_classes(rng):
+            oracle = ValueOracle(pc)
+            u, k = pc.num_contexts, pc.num_actions
+            for _ in range(4):
+                base = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
+                self.ask(oracle, base)
+                snapshot = oracle._last
+                assert (snapshot is None) == (pc.num_policies * u < REMEMBER_MIN_CELLS)
+                x = int(rng.integers(u))
+                for a in range(k):
+                    charged = base.copy()
+                    charged[x, a] += float(rng.uniform(k, 3 * k))
+                    self.ask(oracle, charged)
+                    assert oracle._last is snapshot  # a charged query leaves the memory alone
+
+    def test_repeat_two_cells_and_new_base(self):
+        rng = np.random.default_rng(22)
+        pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
+        oracle = ValueOracle(pc)
+        base = rng.normal(size=(8, 5))
+        self.ask(oracle, base)
+        self.ask(oracle, base.copy())  # no cell differs: a full gather
+        two = base.copy()
+        two[1, 0] += 7.0
+        two[5, 3] += 7.0
+        self.ask(oracle, two)  # two cells differ: a full gather, remembered
+        assert np.array_equal(oracle._last[0], two.ravel())
+        fresh = rng.normal(size=(8, 5))
+        self.ask(oracle, fresh)
+        charged = fresh.copy()
+        charged[2, 4] += 7.0
+        self.ask(oracle, charged)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_cell_read_by_no_policy_and_by_every_policy(self, k):
+        rng = np.random.default_rng(23)
+        n, u = REMEMBER_MIN_CELLS // 4, 4
+        table = rng.integers(1, k + 1, size=(n, u))
+        table[:, 0] = rng.integers(1, k, size=n)  # nobody plays action k on context 0
+        table[:, 1] = 1  # everybody plays action 1 on context 1
+        oracle = ValueOracle(PolicyClass(table=table, num_actions=k))
+        base = rng.normal(size=(u, k))
+        for x, a in [(0, k - 1), (1, 0)]:
+            self.ask(oracle, base)
+            charged = base.copy()
+            charged[x, a] += 5.0
+            self.ask(oracle, charged)
+
+    def test_nan_cells(self):
+        rng = np.random.default_rng(24)
+        pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
+        oracle = ValueOracle(pc)
+        base = rng.normal(size=(8, 5))
+        self.ask(oracle, base)
+        for x, a in [(3, 2), (3, 3)]:
+            charged = base.copy()
+            charged[x, a] = np.nan  # the one differing cell is NaN
+            assert np.isnan(self.ask(oracle, charged))
+        with_nan = base.copy()
+        with_nan[6, 1] = np.nan  # a NaN in the remembered query itself
+        self.ask(oracle, with_nan)
+        for a in range(5):
+            charged = with_nan.copy()
+            charged[6, a] += 5.0
+            self.ask(oracle, charged)
+
+    def test_concurrent_queries_stay_exact(self):
+        rng = np.random.default_rng(25)
+        pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
+        contexts = np.arange(8)
+        queries = []
+        for _ in range(6):
+            base = rng.normal(size=(8, 5))
+            queries.append(base)
+            for a in range(5):
+                charged = base.copy()
+                charged[int(rng.integers(8)), a] += 5.0
+                queries.append(charged)
+        expected = [ValueOracle(pc).value_arrays(contexts, q) for q in queries]
+        oracle = ValueOracle(pc)
+        wrong = []
+
+        def worker(offset):
+            for i in range(60):
+                j = (offset + i) % len(queries)
+                if oracle.value_arrays(contexts, queries[j]) != expected[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=worker, args=(6 * t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between calls, not every few ms
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == []
+        assert oracle.stats.calls == 240
 
 
 class TestPolicyClass:
