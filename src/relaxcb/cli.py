@@ -32,6 +32,8 @@ def main(argv=None) -> int:
     verify_p.add_argument("--quick", action="store_true", help="smaller sample sizes")
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.seed < 0:  # numpy.random.SeedSequence needs >= 0
+        verify_p.error(f"argument --seed: must be >= 0, got {args.seed}")
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_verify(args)

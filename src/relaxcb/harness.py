@@ -114,6 +114,11 @@ def validate_config(config: dict) -> dict:
                     )
     else:
         raise ConfigError("policyClass.type", f"must be 'table' or 'explicit', got {pc_type!r}")
+    if pc_type == "table" and pc["N"] * pc["U"] < k:
+        raise ConfigError("policyClass", f"N*U = {pc['N'] * pc['U']} cells cannot cover all K={k} actions")
+    num_policies = pc["N"] if pc_type == "table" else len(pc["table"])
+    if cfg["L"] == "auto" and num_policies < 2:
+        raise ConfigError("L", f"'auto' needs at least 2 policies to tune, got {num_policies}")
 
     env = cfg.get("environment")
     if not isinstance(env, dict):

@@ -7,6 +7,11 @@ water-filling, mixes with the uniform distribution for exploration, plays,
 and finally records a discretized importance-weighted estimate of the
 observed cost.  The oracle budget is exactly K+1 calls per round.
 
+The history enters every score only through the (U, K) past matrix, the
+per-context sum of the recorded estimates (``past_loss_matrix``):
+``oracle_scores`` and ``relaxation_value`` take it, and
+``RelaxationLearner`` updates it in place.
+
 Randomness contract (one round consumes, in order):
 
 1. future contexts -- one uniform per remaining round, inverse-CDF sampled
@@ -169,20 +174,16 @@ def sample_future(
     return FutureDraw(contexts=contexts, signs=signs, magnitudes=magnitudes)
 
 
-def past_loss_matrix(history: Sequence, num_contexts: int, num_actions: int) -> np.ndarray:
+def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_actions: int) -> np.ndarray:
     """Sum recorded estimates into a (U, K) per-context loss matrix.
 
-    Accepts ``HistoryRecord`` entries or raw ``(context, estimate)`` pairs.
-    Estimates are sparse, so this walks the nonzero ones directly.
+    This is the "past" that the functional path takes.  Estimates are
+    sparse, so this walks the nonzero ones directly, in history order.
     """
     mat = np.zeros((num_contexts, num_actions))
-    for item in history:
-        if isinstance(item, HistoryRecord):
-            context, estimate = item.context, item.estimate
-        else:
-            context, estimate = item
-        if estimate.coordinate:
-            mat[context, estimate.coordinate - 1] += estimate.scale
+    for rec in history:
+        if rec.estimate.coordinate:
+            mat[rec.context, rec.estimate.coordinate - 1] += rec.estimate.scale
     return mat
 
 
@@ -195,22 +196,30 @@ def future_loss_matrix(rho: FutureDraw, num_contexts: int, num_actions: int) -> 
     return context_action_sums(rho.contexts[nz], weighted, num_contexts)
 
 
-def _loss_matrix(history: Sequence, rho: FutureDraw, config: LearnerConfig, oracle: ValueOracle):
-    """Recorded estimates plus the perturbation terms of ``rho``, as one (U, K) matrix."""
-    num_contexts = oracle.policy_class.num_contexts
-    base = past_loss_matrix(history, num_contexts, config.K)
-    base += future_loss_matrix(rho, num_contexts, config.K)
-    return base
+def _check_past(past: np.ndarray, config: LearnerConfig, oracle: ValueOracle) -> None:
+    """Reject a past loss matrix that is not (U, K)."""
+    shape = (oracle.policy_class.num_contexts, config.K)
+    if np.shape(past) != shape:
+        raise ValueError(f"past loss matrix must have shape {shape}, got {np.shape(past)}")
 
 
-def _scores_from_matrix(
-    base: np.ndarray,
+def oracle_scores(
+    past: np.ndarray,
     x_t: Context,
+    rho: FutureDraw,
     config: LearnerConfig,
     oracle: ValueOracle,
 ) -> OracleScores:
-    """Run the K+1 oracle queries against an aggregated (U, K) loss matrix."""
+    """Compute the round's K+1 oracle answers.
+
+    ``past`` is the (U, K) sum of the recorded estimates
+    (:func:`past_loss_matrix`).  Each answer is one oracle call on ``past``
+    plus the perturbation terms from ``rho`` plus the single charge at the
+    current context (absent for index 0); exactly K+1 calls total.
+    """
+    _check_past(past, config, oracle)
     num_contexts = oracle.policy_class.num_contexts
+    base = past + future_loss_matrix(rho, num_contexts, config.K)
     contexts = np.arange(num_contexts)
     minima = np.empty(config.K + 1)
     minima[0] = oracle.value_arrays(contexts, base)
@@ -219,22 +228,6 @@ def _scores_from_matrix(
         charged[x_t, a - 1] += config.scale
         minima[a] = oracle.value_arrays(contexts, charged)
     return OracleScores.from_minima(minima, config.scale)
-
-
-def oracle_scores(
-    history: Sequence[HistoryRecord],
-    x_t: Context,
-    rho: FutureDraw,
-    config: LearnerConfig,
-    oracle: ValueOracle,
-) -> OracleScores:
-    """Compute the round's K+1 oracle answers.
-
-    Each answer is one oracle call on the sequence made of the recorded
-    estimates, the single charge at the current context (absent for index
-    0), and the perturbation terms from ``rho``; exactly K+1 calls total.
-    """
-    return _scores_from_matrix(_loss_matrix(history, rho, config, oracle), x_t, config, oracle)
 
 
 def water_fill(gaps) -> ActionDistribution:
@@ -302,24 +295,26 @@ def play_distribution(scores: OracleScores, config: LearnerConfig) -> ActionDist
 
 
 def relaxation_value(
-    history: Sequence,
+    past: np.ndarray,
     rho: FutureDraw,
     config: LearnerConfig,
     oracle: ValueOracle,
 ) -> float:
-    """Single-draw potential of the game after ``len(history)`` rounds.
+    """Single-draw potential of the game after ``t = T - len(rho)`` rounds.
 
-    Minus the oracle value on (recorded estimates + perturbation terms from
-    ``rho``), plus the exploration budget ``(T - t) * K / scale`` for the
-    remaining rounds.  One oracle call.  ``history`` may hold
-    ``HistoryRecord`` entries or raw ``(context, estimate)`` pairs.
+    Minus the oracle value on the (U, K) past matrix (the recorded
+    estimates, :func:`past_loss_matrix`) plus the perturbation terms from
+    ``rho``, plus the exploration budget ``len(rho) * K / scale`` for the
+    remaining rounds.  One oracle call.
     """
-    t = len(history)
-    if len(rho) != config.T - t:
-        raise ValueError(f"draw covers {len(rho)} rounds, expected {config.T - t}")
-    contexts = np.arange(oracle.policy_class.num_contexts)
-    value = oracle.value_arrays(contexts, _loss_matrix(history, rho, config, oracle))
-    return -value + (config.T - t) * config.K / config.scale
+    remaining = len(rho)
+    if remaining > config.T:
+        raise ValueError(f"draw covers {remaining} rounds, more than the horizon {config.T}")
+    _check_past(past, config, oracle)
+    num_contexts = oracle.policy_class.num_contexts
+    base = past + future_loss_matrix(rho, num_contexts, config.K)
+    value = oracle.value_arrays(np.arange(num_contexts), base)
+    return -value + remaining * config.K / config.scale
 
 
 def step(
@@ -338,19 +333,19 @@ def step(
     """
     if t != len(history) + 1:
         raise ValueError(f"round {t} does not follow a history of {len(history)} rounds")
-    learner = RelaxationLearner(config, oracle, context_source, history)
-    record = learner.play_round(x_t, cost_of, rng)
-    return record.played_action, learner.history
+    record = RelaxationLearner(config, oracle, context_source, history).play_round(x_t, cost_of, rng)
+    return record.played_action, [*history, record]
 
 
 class RelaxationLearner:
     """The round engine; one instance per replication.
 
-    Keeps the per-context sum of recorded estimates incrementally instead of
-    rebuilding it every round.  ``history`` optionally gives the rounds
-    already played (:func:`step` starts from one).  Instances are
-    single-threaded.  Each replication gets its own learner, oracle and
-    generator, as the harness does; there is no parallel path.
+    Keeps the (U, K) past matrix and the next round's number, not a record
+    list; each new estimate is added to the matrix in place.  ``history``
+    optionally gives the rounds already played (:func:`step` starts from
+    one).  Instances are single-threaded.  Each replication gets its own
+    learner, oracle and generator, as the harness does; there is no
+    parallel path.
     """
 
     def __init__(
@@ -364,15 +359,10 @@ class RelaxationLearner:
         self.config = config
         self.oracle = oracle
         self.context_source = context_source
-        self.history: list[HistoryRecord] = list(history)
-        self._past = past_loss_matrix(self.history, oracle.policy_class.num_contexts, config.K)
+        self.round = len(history) + 1  # the next round to play (1-based)
+        self._past = past_loss_matrix(history, oracle.policy_class.num_contexts, config.K)
         self.min_play_prob = float("inf")
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
-
-    @property
-    def round(self) -> int:
-        """The next round to play (1-based)."""
-        return len(self.history) + 1
 
     def play_round(
         self,
@@ -390,11 +380,9 @@ class RelaxationLearner:
         t = self.round
         if t > self.config.T:
             raise ValueError(f"round {t} beyond horizon {self.config.T}")
-        config, oracle = self.config, self.oracle
+        config = self.config
         rho = sample_future(t, config, self.context_source, rng)
-        num_contexts = oracle.policy_class.num_contexts
-        base = self._past + future_loss_matrix(rho, num_contexts, config.K)
-        scores = _scores_from_matrix(base, x_t, config, oracle)
+        scores = oracle_scores(self._past, x_t, rho, config, self.oracle)
         dist = play_distribution(scores, config)
         action = dist.sample(rng)
         cost = float(cost_of(action))
@@ -409,7 +397,7 @@ class RelaxationLearner:
             observed_cost=cost,
             estimate=build_estimate(action, coin, config.scale),
         )
-        self.history.append(record)
+        self.round += 1
         if coin:
             self._past[x_t, action - 1] += config.scale
         return record

@@ -14,13 +14,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ActionDistribution, EstimatedCost, build_estimate, draw_estimator_coin, sample_index
+from .core import ActionDistribution, HistoryRecord, build_estimate, draw_estimator_coin, sample_index
 from .environments import ContextDistribution
 from .learner import (
     LearnerConfig,
     OracleScores,
     inner_sup_values,
     oracle_scores,
+    past_loss_matrix,
     play_distribution,
     relaxation_value,
     sample_future,
@@ -244,7 +245,7 @@ def admissibility_check(
     policy_class: PolicyClass,
     config: LearnerConfig,
     context_dist: ContextDistribution,
-    history: Sequence,
+    history: Sequence[HistoryRecord],
     draws: int,
     rng: np.random.Generator,
     mesh: float = 0.25,
@@ -267,31 +268,29 @@ def admissibility_check(
     if t > config.T:
         raise ValueError("history already spans the whole horizon")
     oracle = ValueOracle(policy_class)
-    pairs = [
-        (rec.context, rec.estimate) if hasattr(rec, "estimate") else tuple(rec) for rec in history
-    ]
     k, scale = config.K, config.scale
     num_contexts = context_dist.num_contexts
     grid = cost_grid(k, mesh)
+    past = past_loss_matrix(history, policy_class.num_contexts, k)
 
     rhs_samples = np.empty(draws)
     lhs_values = np.empty((draws, num_contexts, grid.shape[0]))
-    spikes = [EstimatedCost(scale, a) for a in range(k + 1)]  # index 0 = zero estimate
     for j in range(draws):
         rho_prev = sample_future(t - 1, config, context_dist, rng)
-        rhs_samples[j] = relaxation_value(pairs, rho_prev, config, oracle)
+        rhs_samples[j] = relaxation_value(past, rho_prev, config, oracle)
 
         rho_play = sample_future(t, config, context_dist, rng)
         rho_next = sample_future(t, config, context_dist, rng)
         for x in range(num_contexts):
-            scores = oracle_scores(pairs, x, rho_play, config, oracle)
+            scores = oracle_scores(past, x, rho_play, config, oracle)
             dist = play_distribution(scores, config)
-            after = [
-                relaxation_value(pairs + [(x, spikes[a])], rho_next, config, oracle)
-                for a in range(k + 1)
-            ]
-            r_zero = after[0]
-            r_spike = np.asarray(after[1:])
+            # the potential after this round's estimate: zero, or scale at (x, a)
+            r_zero = relaxation_value(past, rho_next, config, oracle)
+            r_spike = np.empty(k)
+            for a in range(k):
+                after = past.copy()
+                after[x, a] += scale
+                r_spike[a] = relaxation_value(after, rho_next, config, oracle)
             # E over (action, coin) given cost vector c collapses to
             # q.c + (c/scale).(r_spike - r_zero) + r_zero: the importance
             # weighting cancels the play probabilities exactly.

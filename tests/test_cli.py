@@ -99,6 +99,23 @@ class TestRunCommand:
         assert code == 2
         assert f"config error: {path}: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, path",
+        [
+            ({"K": 5, "L": 5.0, "policyClass": {"type": "table", "seed": 1, "N": 1, "U": 3}}, "policyClass"),
+            ({"L": "auto", "policyClass": {"type": "table", "seed": 1, "N": 1, "U": 3}}, "L"),
+            ({"L": "auto", "policyClass": {"type": "explicit", "table": [[1, 2, 1]]}}, "L"),
+        ],
+        ids=["table-too-small", "auto-one-table-policy", "auto-one-explicit-policy"],
+    )
+    def test_unusable_policy_class(self, config_file, tmp_path, capsys, changes, path):
+        config = json.loads(config_file.read_text())
+        config.update(changes)
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [[], ["--reps", "2"], ["--seed", "4"], ["--learner", "exp4"]])
     def test_non_object_config_with_overrides(self, tmp_path, capsys, extra):
         bad = tmp_path / "bad.json"
@@ -115,3 +132,9 @@ class TestVerifyCommand:
         assert code == 0
         for name in ("minimax", "unbiasedness", "perturbation-bound", "admissibility"):
             assert f"[PASS] {name}" in out
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quick", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err

@@ -68,13 +68,18 @@ class TestActionDistribution:
 
 class TestEstimatedCost:
     # the learner adds estimates into its (U, K) loss matrix as dense vectors
+    @staticmethod
+    def record(est):
+        dist = ActionDistribution.uniform(3)
+        return HistoryRecord(context=0, played_dist=dist, played_action=2, observed_cost=0.5, estimate=est)
+
     def test_spike_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=2)
-        np.testing.assert_array_equal(past_loss_matrix([(0, est)], 1, 3), [[0.0, 4.0, 0.0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0.0, 4.0, 0.0]])
 
     def test_zero_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=0)
-        np.testing.assert_array_equal(past_loss_matrix([(0, est)], 1, 3), [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0.0, 0.0, 0.0]])
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):

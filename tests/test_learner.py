@@ -29,6 +29,7 @@ from relaxcb import (
     tune_scale,
     water_fill,
 )
+from relaxcb.learner import past_loss_matrix
 from relaxcb.verify import brute_force_minimax
 
 
@@ -119,6 +120,18 @@ def make_scores(minima, scale):
     return OracleScores.from_minima(np.asarray(minima, dtype=float), scale)
 
 
+def make_record(context, estimate, k, action=1):
+    """A recorded round with ``estimate``; only its context and estimate enter the past matrix."""
+    action = estimate.coordinate or action
+    return HistoryRecord(
+        context=context,
+        played_dist=ActionDistribution.uniform(k),
+        played_action=action,
+        observed_cost=0.5,
+        estimate=estimate,
+    )
+
+
 class TestOracleScores:
     def test_gap_derivation(self):
         scores = make_scores([1.0, 3.0, 1.0], scale=4.0)
@@ -131,7 +144,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=2, T=1, scale=2.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores([], 0, rho, cfg, ValueOracle(pc))
+        scores = oracle_scores(np.zeros((1, 2)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, 0.0)
         np.testing.assert_allclose(scores.gaps, 0.0)
 
@@ -140,7 +153,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=3, T=1, scale=5.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores([], 0, rho, cfg, ValueOracle(pc))
+        scores = oracle_scores(np.zeros((1, 3)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, [0.0, 5.0, 0.0, 0.0])
         np.testing.assert_allclose(scores.gaps, [1.0, 0.0, 0.0])
 
@@ -150,7 +163,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=4, T=8, scale=6.0)
         oracle = ValueOracle(pc)
         rho = sample_future(1, cfg, ContextDistribution.uniform(3), rng)
-        oracle_scores([], 0, rho, cfg, oracle)
+        oracle_scores(np.zeros((3, 4)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 5
 
     def test_matches_loop_enumeration(self):
@@ -176,7 +189,7 @@ class TestOracleScores:
                 )
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             x_t = int(rng.integers(u))
-            scores = oracle_scores(history, x_t, rho, cfg, ValueOracle(pc))
+            scores = oracle_scores(past_loss_matrix(history, u, k), x_t, rho, cfg, ValueOracle(pc))
             for i in range(k + 1):
                 best = math.inf
                 for p in range(n):
@@ -293,9 +306,10 @@ class TestRelaxationValue:
     def test_full_history_zero_estimates(self):
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
-        history = [(0, EstimatedCost(4.0, 0))] * 3
+        history = [make_record(0, EstimatedCost(4.0, 0), 2)] * 3
         rho = sample_future(3, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
-        assert relaxation_value(history, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
+        past = past_loss_matrix(history, 1, 2)
+        assert relaxation_value(past, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
 
     def test_empty_history_all_zero_magnitudes(self):
         # no perturbation hits: value is the full exploration budget T*K/scale
@@ -304,7 +318,7 @@ class TestRelaxationValue:
         rng = np.random.default_rng(1)
         draw = sample_future(0, cfg, ContextDistribution.uniform(2), rng)
         zero_draw = FutureDraw(draw.contexts, draw.signs, np.zeros(len(draw)))
-        value = relaxation_value([], zero_draw, cfg, ValueOracle(pc))
+        value = relaxation_value(np.zeros((2, 2)), zero_draw, cfg, ValueOracle(pc))
         assert value == pytest.approx(6 * 2 / 4.0)
 
     def test_matches_enumeration_plus_offset(self):
@@ -319,20 +333,21 @@ class TestRelaxationValue:
             for _ in range(t):
                 action = int(rng.integers(1, k + 1))
                 coin = int(rng.integers(2))
-                history.append((int(rng.integers(u)), EstimatedCost(scale, action if coin else 0)))
+                est = EstimatedCost(scale, action if coin else 0)
+                history.append(make_record(int(rng.integers(u)), est, k, action))
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             best = math.inf
             for p in range(n):
                 total = 0.0
-                for ctx, est in history:
-                    if est.coordinate == pc.action_of(p, ctx):
+                for rec in history:
+                    if rec.estimate.coordinate == pc.action_of(p, rec.context):
                         total += scale
                 for j in range(len(rho)):
                     a = pc.action_of(p, int(rho.contexts[j]))
                     total += 2.0 * rho.signs[j, a - 1] * rho.magnitudes[j]
                 best = min(best, total)
             expected = -best + (horizon - t) * k / scale
-            got = relaxation_value(history, rho, cfg, ValueOracle(pc))
+            got = relaxation_value(past_loss_matrix(history, u, k), rho, cfg, ValueOracle(pc))
             assert got == pytest.approx(expected, abs=1e-9)
 
     def test_single_oracle_call(self):
@@ -340,8 +355,62 @@ class TestRelaxationValue:
         cfg = LearnerConfig(K=2, T=2, scale=4.0)
         oracle = ValueOracle(pc)
         rho = sample_future(0, cfg, ContextDistribution.uniform(1), np.random.default_rng(3))
-        relaxation_value([], rho, cfg, oracle)
+        relaxation_value(np.zeros((1, 2)), rho, cfg, oracle)
         assert oracle.stats.calls == 1
+
+
+class TestPastMatrix:
+    """The functional path takes the (U, K) sum of the recorded estimates."""
+
+    def test_wrong_shape_rejected(self):
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=3, scale=4.0)
+        rho = sample_future(1, cfg, ContextDistribution.uniform(2), np.random.default_rng(0))
+        oracle = ValueOracle(pc)
+        for past in (np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(4)):
+            with pytest.raises(ValueError, match="shape"):
+                oracle_scores(past, 0, rho, cfg, oracle)
+            with pytest.raises(ValueError, match="shape"):
+                relaxation_value(past, rho, cfg, oracle)
+        assert oracle.stats.calls == 0
+
+    def test_draw_longer_than_horizon_rejected(self):
+        pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=3, scale=4.0)
+        longer = LearnerConfig(K=2, T=4, scale=4.0)
+        rho = sample_future(0, longer, ContextDistribution.uniform(1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="horizon"):
+            relaxation_value(np.zeros((1, 2)), rho, cfg, ValueOracle(pc))
+
+    def test_charged_copy_equals_extended_history(self):
+        # adding scale at (x, a) to a copy of the past gives bit for bit the
+        # answers of the matrix summed from the history extended by that record
+        rng = np.random.default_rng(12)
+        k, u, horizon, scale = 3, 4, 8, 4.37
+        pc = random_policy_class(7, u, k, rng)
+        cfg = LearnerConfig(K=k, T=horizon, scale=scale)
+        dist = ContextDistribution.uniform(u)
+        costs = rng.random((horizon, k))
+        learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
+        records = [
+            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng) for t in range(1, 6)
+        ]
+        past = past_loss_matrix(records, u, k)
+        assert past.any()
+        oracle = ValueOracle(pc)
+        rho = sample_future(len(records) + 1, cfg, dist, rng)
+        for x in range(u):
+            for a in range(1, k + 1):
+                charged = past.copy()
+                charged[x, a - 1] += scale
+                extended = past_loss_matrix([*records, make_record(x, EstimatedCost(scale, a), k)], u, k)
+                assert relaxation_value(charged, rho, cfg, oracle) == relaxation_value(
+                    extended, rho, cfg, oracle
+                )
+                assert np.array_equal(
+                    oracle_scores(charged, x, rho, cfg, oracle).minima,
+                    oracle_scores(extended, x, rho, cfg, oracle).minima,
+                )
 
 
 class TestMinimizerAgainstGrid:
@@ -400,12 +469,13 @@ class TestStep:
         costs = np.random.default_rng(2).random((3, 2))
         rng = np.random.default_rng(1)
         learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
-        for t in range(1, 4):
-            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng)
+        records = [
+            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng) for t in range(1, 4)
+        ]
         with pytest.raises(ValueError, match="horizon"):
             learner.play_round(0, lambda a: 0.0, rng)
         with pytest.raises(ValueError, match="horizon"):
-            step(4, learner.history, 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, rng)
+            step(4, records, 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, rng)
 
     def test_class_engine_matches_functional_step(self):
         pc, cfg, dist = self.setup_instance(seed=11, horizon=6)
@@ -422,10 +492,13 @@ class TestStep:
 
         rng_b = np.random.default_rng(6)
         learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
-        for t in range(1, 7):
+        records = [
             learner.play_round(int(contexts[t - 1]), lambda a: costs[t - 1, a - 1], rng_b)
+            for t in range(1, 7)
+        ]
 
-        for rec_a, rec_b in zip(history, learner.history):
+        assert len(history) == len(records) == 6
+        for rec_a, rec_b in zip(history, records):
             assert rec_a.played_action == rec_b.played_action
             assert rec_a.estimate == rec_b.estimate
             np.testing.assert_allclose(rec_a.played_dist.probs, rec_b.played_dist.probs)

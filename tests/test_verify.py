@@ -172,5 +172,7 @@ class TestAdmissibilityCheck:
         rng = np.random.default_rng(10)
         pc = random_policy_class(4, 2, 2, rng)
         cfg = LearnerConfig(K=2, T=1, scale=3.0)
+        dist = ContextDistribution.uniform(2)
+        _, history = step(1, [], 0, lambda a: 0.5, cfg, ValueOracle(pc), dist, rng)
         with pytest.raises(ValueError, match="horizon"):
-            admissibility_check(pc, cfg, ContextDistribution.uniform(2), [(0, None)], 10, rng)
+            admissibility_check(pc, cfg, dist, history, 10, rng)
