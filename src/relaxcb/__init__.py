@@ -10,7 +10,6 @@ from .core import (
     ActionIndex,
     Context,
     EstimatedCost,
-    FutureDraw,
     HistoryRecord,
     build_estimate,
     draw_estimator_coin,
@@ -81,7 +80,6 @@ __all__ = [
     "EstimatedCost",
     "Exp4State",
     "ExperimentResult",
-    "FutureDraw",
     "HistoryRecord",
     "LearnerConfig",
     "OracleScores",

@@ -52,7 +52,7 @@ def check_simplex(probs) -> np.ndarray:
     if not np.all(np.isfinite(probs)):
         raise ValueError("probs must be finite")
     if np.any(probs < -SIMPLEX_ATOL):
-        raise ValueError(f"negative probability entry: {probs.min()!r}")
+        raise ValueError(f"negative probability entry: {float(probs.min())}")
     total = float(probs.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {SIMPLEX_ATOL}")
@@ -102,41 +102,6 @@ class EstimatedCost:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.coordinate < 0:
             raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
-
-
-@dataclass(frozen=True)
-class FutureDraw:
-    """Sampled randomness for the remaining rounds of the game.
-
-    Holds, for each remaining round, a context id, a sign vector in
-    ``{-1, +1}^K`` and a magnitude in ``{0, scale}``.  Together these drive
-    the randomized potential the learner optimizes against.
-    """
-
-    contexts: np.ndarray    # (n,) int ids
-    signs: np.ndarray       # (n, K) entries in {-1, +1}
-    magnitudes: np.ndarray  # (n,) entries in {0, scale}
-
-    def __post_init__(self) -> None:
-        contexts = np.asarray(self.contexts, dtype=np.int64)
-        signs = np.asarray(self.signs, dtype=float)
-        magnitudes = np.asarray(self.magnitudes, dtype=float)
-        n = contexts.size
-        if signs.ndim != 2 or signs.shape[0] != n or magnitudes.shape != (n,):
-            raise ValueError("contexts, signs and magnitudes must have matching lengths")
-        if n and not np.all(np.abs(signs) == 1.0):
-            raise ValueError("sign entries must be -1 or +1")
-        if n and magnitudes.min() < 0.0:
-            raise ValueError("magnitudes must be non-negative")
-        nonzero = np.unique(magnitudes[magnitudes > 0.0])
-        if nonzero.size > 1:
-            raise ValueError(f"magnitudes must share a single nonzero value, got {nonzero}")
-        for name, arr in (("contexts", contexts), ("signs", signs), ("magnitudes", magnitudes)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return int(self.contexts.size)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,29 @@
 """The relaxation-based contextual bandit learner.
 
-Each round the learner draws fresh randomness for the remaining rounds (a
-``FutureDraw``), asks the value oracle K+1 questions about the history
-extended by that randomness, turns the answers into a distribution by
-water-filling, mixes with the uniform distribution for exploration, plays,
-and finally records a discretized importance-weighted estimate of the
-observed cost.  The oracle budget is exactly K+1 calls per round.
+Each round the learner draws fresh randomness for the remaining rounds,
+asks the value oracle K+1 questions about the history extended by that
+randomness, turns the answers into a distribution by water-filling, mixes
+with the uniform distribution for exploration, plays, and finally records a
+discretized importance-weighted estimate of the observed cost.  The oracle
+budget is exactly K+1 calls per round.
 
 The history enters every score only through the (U, K) past matrix, the
-per-context sum of the recorded estimates (``past_loss_matrix``):
-``oracle_scores`` and ``relaxation_value`` take it, and
-``RelaxationLearner`` updates it in place.
+per-context sum of the recorded estimates (``past_loss_matrix``), and the
+random future only through the (U, K) matrix of its sign sums
+(``sample_future``), drawn in law in O(U*K) work whatever the number of
+remaining rounds.  ``oracle_scores`` and ``relaxation_value`` take both,
+and ``RelaxationLearner`` updates the past in place.
 
-Randomness contract (one round consumes, in order):
+Randomness contract (one round with ``n`` remaining rounds consumes, in
+order):
 
-1. future contexts -- one uniform per remaining round, inverse-CDF sampled
-   (none in transductive mode, where the true future sequence is copied);
-2. future sign vectors -- ``rng.integers(0, 2, size=(n, K))``;
-3. future magnitudes -- one uniform per remaining round;
+1. hits -- ``rng.binomial(n, K/scale)``, the number of remaining rounds
+   whose perturbation magnitude is nonzero (not drawn in transductive mode);
+2. per-context counts -- ``rng.multinomial(hits, probs)``; in transductive
+   mode instead ``rng.binomial(m, K/scale)``, thinning the vector ``m`` of
+   each context's count in the known suffix;
+3. heads -- ``rng.binomial(counts[:, None], 0.5, size=(U, K))``, drawn in
+   row-major (u, k) order; each sign sum is ``2 * heads - counts``;
 4. the played action -- one uniform;
 5. the estimator coin -- one uniform.
 
@@ -36,13 +42,12 @@ from .core import (
     ActionDistribution,
     ActionIndex,
     Context,
-    FutureDraw,
     HistoryRecord,
     build_estimate,
     draw_estimator_coin,
 )
 from .environments import ContextDistribution
-from .policies import ValueOracle, context_action_sums
+from .policies import ValueOracle
 
 MODES = ("iid-sampler", "transductive")
 
@@ -133,15 +138,33 @@ class OracleScores:
         return cls(minima=minima, gaps=(minima[1:] - minima[0]) / scale)
 
 
-def _checked_source(config: LearnerConfig, context_source: ContextSource) -> ContextSource:
-    """The context source, checked against the mode (a sequence comes back as int64)."""
+def _checked_source(
+    config: LearnerConfig, context_source: ContextSource, num_contexts: int
+) -> ContextSource:
+    """The context source, checked against the mode and the class's U contexts.
+
+    A transductive sequence comes back as int64.
+    """
     if config.mode == "transductive":
+        if isinstance(context_source, ContextDistribution):
+            raise TypeError("transductive mode needs the realized context sequence, not a distribution")
         seq = np.asarray(context_source, dtype=np.int64)
         if seq.shape != (config.T,):
             raise ValueError(f"transductive context sequence must have length {config.T}")
+        outside = seq[(seq < 0) | (seq >= num_contexts)]
+        if outside.size:
+            raise ValueError(
+                f"transductive context id {outside[0]} outside 0..{num_contexts - 1} "
+                f"of a {num_contexts}-context class"
+            )
         return seq
     if not isinstance(context_source, ContextDistribution):
         raise TypeError("iid-sampler mode needs a ContextDistribution source")
+    if context_source.num_contexts != num_contexts:
+        raise ValueError(
+            f"context distribution has {context_source.num_contexts} contexts, "
+            f"the policy class has {num_contexts}"
+        )
     return context_source
 
 
@@ -149,29 +172,31 @@ def sample_future(
     t: int,
     config: LearnerConfig,
     context_source: ContextSource,
+    num_contexts: int,
     rng: np.random.Generator,
-) -> FutureDraw:
-    """Draw the randomness for rounds ``t+1 .. T``.
+) -> np.ndarray:
+    """Draw the (U, K) integer sign sums of the perturbation for rounds ``t+1 .. T``.
 
-    Contexts come i.i.d. from the sampler (or verbatim from the known
-    sequence in transductive mode); each sign entry is uniform on
-    ``{-1, +1}``; each magnitude is ``scale`` with probability ``K/scale``
-    and 0 otherwise.
+    Each remaining round has a context (i.i.d. from the sampler, or the
+    known one in transductive mode), a sign vector uniform on ``{-1, +1}^K``
+    and a magnitude that is ``scale`` with probability ``K/scale`` and 0
+    otherwise.  Entry (u, k) is the sum of sign k over the rounds at context
+    u whose magnitude hits.  Only that sum reaches the oracle, so it is drawn
+    directly in law (module docstring, steps 1-3): given the per-context hit
+    counts ``n_u``, the entries are independent ``2 * Binomial(n_u, 1/2) -
+    n_u``.  ``verify.row_wise_future`` draws the same matrix round by round
+    and is the law reference.
     """
-    if t > config.T:
-        raise ValueError(f"round {t} beyond horizon {config.T}")
-    if t < 0:
-        raise ValueError(f"round must be >= 0, got {t}")
-    n = config.T - t
-    source = _checked_source(config, context_source)
+    if not 0 <= t <= config.T:
+        raise ValueError(f"round {t} outside the horizon 0..{config.T}")
+    source = _checked_source(config, context_source, num_contexts)
+    hit = config.K / config.scale
     if config.mode == "transductive":
-        contexts = source[t:].copy()
+        counts = rng.binomial(np.bincount(source[t:], minlength=num_contexts), hit)
     else:
-        contexts = source.sample(rng, size=n)
-    signs = rng.integers(0, 2, size=(n, config.K)) * 2 - 1
-    hit = rng.random(n) < config.K / config.scale
-    magnitudes = np.where(hit, config.scale, 0.0)
-    return FutureDraw(contexts=contexts, signs=signs, magnitudes=magnitudes)
+        counts = rng.multinomial(rng.binomial(config.T - t, hit), source.probs)
+    heads = rng.binomial(counts[:, None], 0.5, size=(num_contexts, config.K))
+    return 2 * heads - counts[:, None]
 
 
 def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_actions: int) -> np.ndarray:
@@ -187,40 +212,37 @@ def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_ac
     return mat
 
 
-def future_loss_matrix(rho: FutureDraw, num_contexts: int, num_actions: int) -> np.ndarray:
-    """Sum the perturbation terms ``2 * sign * magnitude`` into a (U, K) matrix."""
-    nz = rho.magnitudes > 0.0
-    if not np.any(nz):
-        return np.zeros((num_contexts, num_actions))
-    weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
-    return context_action_sums(rho.contexts[nz], weighted, num_contexts)
+def future_loss_matrix(rho: np.ndarray, scale: float) -> np.ndarray:
+    """The perturbation's (U, K) loss matrix: each sign sum times ``2 * scale``."""
+    return (2.0 * scale) * rho
 
 
-def _check_past(past: np.ndarray, config: LearnerConfig, oracle: ValueOracle) -> None:
-    """Reject a past loss matrix that is not (U, K)."""
+def _base_matrix(past: np.ndarray, rho: np.ndarray, config: LearnerConfig, oracle: ValueOracle) -> np.ndarray:
+    """The past matrix plus the future loss matrix, after checking that both are (U, K)."""
     shape = (oracle.policy_class.num_contexts, config.K)
-    if np.shape(past) != shape:
-        raise ValueError(f"past loss matrix must have shape {shape}, got {np.shape(past)}")
+    for name, mat in (("past loss", past), ("future draw", rho)):
+        if np.shape(mat) != shape:
+            raise ValueError(f"{name} matrix must have shape {shape}, got {np.shape(mat)}")
+    return past + future_loss_matrix(rho, config.scale)
 
 
 def oracle_scores(
     past: np.ndarray,
     x_t: Context,
-    rho: FutureDraw,
+    rho: np.ndarray,
     config: LearnerConfig,
     oracle: ValueOracle,
 ) -> OracleScores:
     """Compute the round's K+1 oracle answers.
 
     ``past`` is the (U, K) sum of the recorded estimates
-    (:func:`past_loss_matrix`).  Each answer is one oracle call on ``past``
-    plus the perturbation terms from ``rho`` plus the single charge at the
+    (:func:`past_loss_matrix`) and ``rho`` the (U, K) sign sums of the
+    future (:func:`sample_future`).  Each answer is one oracle call on
+    ``past`` plus the future loss matrix plus the single charge at the
     current context (absent for index 0); exactly K+1 calls total.
     """
-    _check_past(past, config, oracle)
-    num_contexts = oracle.policy_class.num_contexts
-    base = past + future_loss_matrix(rho, num_contexts, config.K)
-    contexts = np.arange(num_contexts)
+    base = _base_matrix(past, rho, config, oracle)
+    contexts = np.arange(oracle.policy_class.num_contexts)
     minima = np.empty(config.K + 1)
     minima[0] = oracle.value_arrays(contexts, base)
     for a in range(1, config.K + 1):
@@ -296,25 +318,24 @@ def play_distribution(scores: OracleScores, config: LearnerConfig) -> ActionDist
 
 def relaxation_value(
     past: np.ndarray,
-    rho: FutureDraw,
+    t: int,
+    rho: np.ndarray,
     config: LearnerConfig,
     oracle: ValueOracle,
 ) -> float:
-    """Single-draw potential of the game after ``t = T - len(rho)`` rounds.
+    """Single-draw potential of the game after ``t`` rounds.
 
     Minus the oracle value on the (U, K) past matrix (the recorded
-    estimates, :func:`past_loss_matrix`) plus the perturbation terms from
-    ``rho``, plus the exploration budget ``len(rho) * K / scale`` for the
-    remaining rounds.  One oracle call.
+    estimates, :func:`past_loss_matrix`) plus the future loss matrix of
+    ``rho``, the draw for rounds ``t+1 .. T`` (:func:`sample_future`), plus
+    the exploration budget ``(T - t) * K / scale`` for the remaining
+    rounds.  One oracle call.
     """
-    remaining = len(rho)
-    if remaining > config.T:
-        raise ValueError(f"draw covers {remaining} rounds, more than the horizon {config.T}")
-    _check_past(past, config, oracle)
-    num_contexts = oracle.policy_class.num_contexts
-    base = past + future_loss_matrix(rho, num_contexts, config.K)
-    value = oracle.value_arrays(np.arange(num_contexts), base)
-    return -value + remaining * config.K / config.scale
+    if not 0 <= t <= config.T:
+        raise ValueError(f"round {t} outside the horizon 0..{config.T}")
+    base = _base_matrix(past, rho, config, oracle)
+    value = oracle.value_arrays(np.arange(oracle.policy_class.num_contexts), base)
+    return -value + (config.T - t) * config.K / config.scale
 
 
 def step(
@@ -355,10 +376,9 @@ class RelaxationLearner:
         context_source: ContextSource,
         history: Sequence[HistoryRecord] = (),
     ) -> None:
-        _checked_source(config, context_source)
         self.config = config
         self.oracle = oracle
-        self.context_source = context_source
+        self.context_source = _checked_source(config, context_source, oracle.policy_class.num_contexts)
         self.round = len(history) + 1  # the next round to play (1-based)
         self._past = past_loss_matrix(history, oracle.policy_class.num_contexts, config.K)
         self.min_play_prob = float("inf")
@@ -381,7 +401,7 @@ class RelaxationLearner:
         if t > self.config.T:
             raise ValueError(f"round {t} beyond horizon {self.config.T}")
         config = self.config
-        rho = sample_future(t, config, self.context_source, rng)
+        rho = sample_future(t, config, self.context_source, self.oracle.policy_class.num_contexts, rng)
         scores = oracle_scores(self._past, x_t, rho, config, self.oracle)
         dist = play_distribution(scores, config)
         action = dist.sample(rng)

@@ -1,14 +1,18 @@
 """Independent verification oracles for the learner's moving parts.
 
 Everything here deliberately re-derives quantities by brute force --
-simplex grids, polytope vertex enumeration, Monte Carlo -- so the fast
-closed forms elsewhere in the package are checked against a second route,
-not against themselves.
+simplex grids, polytope vertex enumeration, exact convolution, Monte Carlo
+-- so the fast closed forms elsewhere in the package are checked against a
+second route, not against themselves.  The learner's in-law future draw has
+its reference here: the round-by-round sampler it replaced and that
+sampler's exact law.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -17,8 +21,10 @@ import numpy as np
 from .core import ActionDistribution, HistoryRecord, build_estimate, draw_estimator_coin, sample_index
 from .environments import ContextDistribution
 from .learner import (
+    ContextSource,
     LearnerConfig,
     OracleScores,
+    _checked_source,
     inner_sup_values,
     oracle_scores,
     past_loss_matrix,
@@ -210,6 +216,75 @@ def rademacher_bound_check(
     return PerturbationCheck(empirical=empirical, bound=bound, stderr=stderr)
 
 
+def row_wise_future(
+    t: int,
+    config: LearnerConfig,
+    context_source: ContextSource,
+    num_contexts: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The law reference for ``learner.sample_future``: its matrix, drawn round by round.
+
+    For each of the rounds ``t+1 .. T`` draws a context (i.i.d. from the
+    distribution, or the known one in transductive mode), a sign vector
+    uniform on ``{-1, +1}^K`` and a hit with probability ``K/scale``, then
+    sums the hit rounds' sign vectors by context into the (U, K) integer
+    matrix.  This costs O((T - t) * K) per call, where the learner's
+    in-law draw costs O(U * K).
+    """
+    n = config.T - t
+    if config.mode == "transductive":
+        contexts = np.asarray(context_source, dtype=np.int64)[t:]
+    else:
+        contexts = context_source.sample(rng, size=n)
+    signs = rng.integers(0, 2, size=(n, config.K)) * 2 - 1
+    hit = rng.random(n) < config.K / config.scale
+    sums = np.zeros((num_contexts, config.K), dtype=np.int64)
+    np.add.at(sums, contexts[hit], signs[hit])
+    return sums
+
+
+def row_wise_future_pmf(
+    t: int,
+    config: LearnerConfig,
+    context_source: ContextSource,
+    num_contexts: int,
+) -> dict[tuple[int, ...], float]:
+    """Exact law of :func:`row_wise_future`'s matrix, for small games.
+
+    Each remaining round adds nothing with probability ``1 - K/scale``, or
+    the sign vector s at context u with probability ``(K/scale) * p_u *
+    2**-K`` (``p_u`` is 1 at the known context in transductive mode).  The
+    law of the sum is that per-round law convolved over the remaining
+    rounds.  Keys are the matrices flattened in row-major order; only
+    outcomes of positive probability appear.  The support grows like
+    ``(n + 1)**(U*K)``, so keep ``n``, U and K small.
+    """
+    k = config.K
+    hit = k / config.scale
+    signs = list(itertools.product((-1, 1), repeat=k))
+    zero = (0,) * (num_contexts * k)
+    pmf = {zero: 1.0}
+    for j in range(t, config.T):
+        if config.mode == "transductive":
+            weights = {int(context_source[j]): 1.0}
+        else:
+            weights = dict(enumerate(context_source.probs.tolist()))
+        steps = [(zero, 1.0 - hit)]
+        for u, w in weights.items():
+            for s in signs:
+                delta = list(zero)
+                delta[u * k : (u + 1) * k] = s
+                steps.append((tuple(delta), hit * w / 2**k))
+        steps = [(delta, q) for delta, q in steps if q > 0.0]
+        convolved: dict[tuple[int, ...], float] = defaultdict(float)
+        for key, p in pmf.items():
+            for delta, q in steps:
+                convolved[tuple(a + b for a, b in zip(key, delta))] += p * q
+        pmf = dict(convolved)
+    return pmf
+
+
 @dataclass
 class AdmissibilityResult:
     """Both sides of the one-step potential-domination inequality."""
@@ -267,30 +342,31 @@ def admissibility_check(
     t = len(history) + 1
     if t > config.T:
         raise ValueError("history already spans the whole horizon")
+    num_contexts = policy_class.num_contexts
+    _checked_source(config, context_dist, num_contexts)
     oracle = ValueOracle(policy_class)
     k, scale = config.K, config.scale
-    num_contexts = context_dist.num_contexts
     grid = cost_grid(k, mesh)
-    past = past_loss_matrix(history, policy_class.num_contexts, k)
+    past = past_loss_matrix(history, num_contexts, k)
 
     rhs_samples = np.empty(draws)
     lhs_values = np.empty((draws, num_contexts, grid.shape[0]))
     for j in range(draws):
-        rho_prev = sample_future(t - 1, config, context_dist, rng)
-        rhs_samples[j] = relaxation_value(past, rho_prev, config, oracle)
+        rho_prev = sample_future(t - 1, config, context_dist, num_contexts, rng)
+        rhs_samples[j] = relaxation_value(past, t - 1, rho_prev, config, oracle)
 
-        rho_play = sample_future(t, config, context_dist, rng)
-        rho_next = sample_future(t, config, context_dist, rng)
+        rho_play = sample_future(t, config, context_dist, num_contexts, rng)
+        rho_next = sample_future(t, config, context_dist, num_contexts, rng)
         for x in range(num_contexts):
             scores = oracle_scores(past, x, rho_play, config, oracle)
             dist = play_distribution(scores, config)
             # the potential after this round's estimate: zero, or scale at (x, a)
-            r_zero = relaxation_value(past, rho_next, config, oracle)
+            r_zero = relaxation_value(past, t, rho_next, config, oracle)
             r_spike = np.empty(k)
             for a in range(k):
                 after = past.copy()
                 after[x, a] += scale
-                r_spike[a] = relaxation_value(after, rho_next, config, oracle)
+                r_spike[a] = relaxation_value(after, t, rho_next, config, oracle)
             # E over (action, coin) given cost vector c collapses to
             # q.c + (c/scale).(r_spike - r_zero) + r_zero: the importance
             # weighting cancels the play probabilities exactly.

@@ -116,6 +116,15 @@ class TestRunCommand:
         assert code == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    def test_negative_context_probability_message(self, config_file, tmp_path, capsys):
+        config = json.loads(config_file.read_text())
+        config["environment"]["context"]["probs"] = [0.5, 0.6, -0.1]
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "config error: environment.context.probs: negative probability entry: -0.1"
+
     @pytest.mark.parametrize("extra", [[], ["--reps", "2"], ["--seed", "4"], ["--learner", "exp4"]])
     def test_non_object_config_with_overrides(self, tmp_path, capsys, extra):
         bad = tmp_path / "bad.json"

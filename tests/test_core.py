@@ -6,7 +6,6 @@ import pytest
 from relaxcb import (
     ActionDistribution,
     EstimatedCost,
-    FutureDraw,
     HistoryRecord,
     build_estimate,
     draw_estimator_coin,
@@ -84,24 +83,6 @@ class TestEstimatedCost:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
             EstimatedCost(scale=0.0, coordinate=1)
-
-
-class TestFutureDraw:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="matching"):
-            FutureDraw(np.zeros(2, dtype=int), np.ones((3, 2)), np.zeros(2))
-
-    def test_bad_signs(self):
-        with pytest.raises(ValueError, match="sign"):
-            FutureDraw(np.zeros(1, dtype=int), np.array([[0.5, 1.0]]), np.zeros(1))
-
-    def test_two_distinct_magnitudes(self):
-        with pytest.raises(ValueError, match="single nonzero"):
-            FutureDraw(np.zeros(2, dtype=int), np.ones((2, 1)), np.array([3.0, 4.0]))
-
-    def test_empty_ok(self):
-        draw = FutureDraw(np.zeros(0, dtype=int), np.ones((0, 2)), np.zeros(0))
-        assert len(draw) == 0
 
 
 class TestHistoryRecord:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relaxcb import (
-    FutureDraw,
     OracleStats,
     PolicyClass,
     ValueOracle,
@@ -93,17 +92,12 @@ class TestFlatAggregationExactness:
     def test_future_loss_matrix(self):
         rng = np.random.default_rng(15)
         for u, k in [(2, 2), (10, 5), (50, 5)]:
-            for n, hit in [(0, 0.5), (1, 1.0), (40, 0.0), (40, 0.3), (700, 0.6)]:
+            for n in (0, 1, 40, 700):
                 scale = float(rng.uniform(k, 3 * k))
-                rho = FutureDraw(
-                    contexts=rng.integers(0, u, size=n),
-                    signs=rng.integers(0, 2, size=(n, k)) * 2 - 1,
-                    magnitudes=np.where(rng.random(n) < hit, scale, 0.0),
-                )
-                nz = rho.magnitudes > 0.0
-                weighted = rho.signs[nz] * (2.0 * rho.magnitudes[nz])[:, None]
-                expected = loop_per_context(rho.contexts[nz], weighted, u)
-                assert np.array_equal(future_loss_matrix(rho, u, k), expected)
+                counts = rng.integers(0, n + 1, size=u)
+                rho = 2 * rng.binomial(counts[:, None], 0.5, size=(u, k)) - counts[:, None]
+                expected = np.array([[2.0 * scale * float(rho[x, a]) for a in range(k)] for x in range(u)])
+                assert np.array_equal(future_loss_matrix(rho, scale), expected)
 
 
 def same_value(a, b):
