@@ -10,8 +10,8 @@ Conventions used throughout the package:
   and consumes a documented number of draws, so runs are bit-reproducible
   given a seed.  Generators are never shared between threads.
 * Probability vectors are validated against a fixed simplex tolerance and
-  renormalized at construction only; downstream code never renormalizes
-  silently and fails loudly on invalid input instead.
+  renormalized by the public constructors; the round engine checks its play
+  distribution once.  Nothing renormalizes silently: bad input fails loudly.
 
 All types here are immutable value objects, safe to share across threads.
 """
@@ -60,6 +60,16 @@ def check_simplex(probs) -> np.ndarray:
     probs = probs / probs.sum()
     probs.flags.writeable = False
     return probs
+
+
+def unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` the caller has checked; arrays become read-only."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

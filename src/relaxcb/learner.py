@@ -39,12 +39,15 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import (
+    FLOOR_ATOL,
+    SIMPLEX_ATOL,
     ActionDistribution,
     ActionIndex,
     Context,
     HistoryRecord,
     build_estimate,
     draw_estimator_coin,
+    unchecked,
 )
 from .environments import ContextDistribution
 from .policies import ValueOracle
@@ -242,14 +245,16 @@ def oracle_scores(
     current context (absent for index 0); exactly K+1 calls total.
     """
     base = _base_matrix(past, rho, config, oracle)
-    contexts = np.arange(oracle.policy_class.num_contexts)
-    minima = np.empty(config.K + 1)
-    minima[0] = oracle.value_arrays(contexts, base)
-    for a in range(1, config.K + 1):
+    minima = [oracle.value_arrays(None, base)]
+    for a in range(config.K):
         charged = base.copy()
-        charged[x_t, a - 1] += config.scale
-        minima[a] = oracle.value_arrays(contexts, charged)
-    return OracleScores.from_minima(minima, config.scale)
+        charged[x_t, a] += config.scale
+        minima.append(oracle.value_arrays(None, charged))
+    # from_minima's arithmetic, checked once: finite gaps imply finite minima.
+    gaps = [(m - minima[0]) / config.scale for m in minima[1:]]
+    if not all(map(math.isfinite, gaps)):
+        raise ValueError("scores must be finite")
+    return unchecked(OracleScores, minima=np.array(minima), gaps=np.array(gaps))
 
 
 def water_fill(gaps) -> ActionDistribution:
@@ -263,15 +268,21 @@ def water_fill(gaps) -> ActionDistribution:
     gaps = np.asarray(gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size == 0 or not np.all(np.isfinite(gaps)):
         raise ValueError("gaps must be a finite 1-d vector")
-    q = np.zeros(gaps.size)
+    return ActionDistribution(_fill(gaps))
+
+
+def _fill(gaps: np.ndarray) -> np.ndarray:
+    """The arithmetic of :func:`water_fill` on a checked gap vector, in Python floats."""
+    gaps = gaps.tolist()
+    q = []
     m = 1.0
-    for i in range(gaps.size):
-        fill = min(max(gaps[i], 0.0), m)
-        q[i] = fill
+    for gap in gaps:
+        fill = min(max(gap, 0.0), m)
+        q.append(fill)
         m -= fill
     if m > 0.0:
-        q[int(np.argmax(gaps))] += m
-    return ActionDistribution(q)
+        q[gaps.index(max(gaps))] += m  # the first of the largest gaps
+    return np.array(q)
 
 
 def inner_sup_value(dist: ActionDistribution | np.ndarray, scores: OracleScores, scale: float) -> float:
@@ -309,11 +320,18 @@ def play_distribution(scores: OracleScores, config: LearnerConfig) -> ActionDist
     """Water-fill the gaps, then mix with uniform for the exploration floor.
 
     Returns ``(1 - K/scale) * water_fill(gaps) + (1/scale) * ones``; every
-    coordinate ends up at least ``1/scale``.
+    coordinate ends up at least ``1/scale``.  Both steps clip and renormalize
+    bit for bit as :class:`ActionDistribution` would, but are checked once:
+    the fill sums to 1 (a NaN fails too) and the result keeps the floor.
     """
-    filled = water_fill(scores.gaps)
-    mix = 1.0 - config.K / config.scale
-    return ActionDistribution(mix * filled.probs + 1.0 / config.scale)
+    filled = np.maximum(_fill(scores.gaps), 0.0)  # np.clip(x, 0.0, None) runs this ufunc
+    fill_total = float(filled.sum())
+    floor = 1.0 / config.scale
+    probs = np.maximum((1.0 - config.K / config.scale) * (filled / fill_total) + floor, 0.0)
+    probs = probs / probs.sum()
+    if not (abs(fill_total - 1.0) <= SIMPLEX_ATOL and probs.min() >= floor - FLOOR_ATOL):
+        raise ValueError(f"play distribution {probs} is off the simplex or below the 1/scale floor {floor}")
+    return unchecked(ActionDistribution, probs=probs)
 
 
 def relaxation_value(
@@ -333,8 +351,7 @@ def relaxation_value(
     """
     if not 0 <= t <= config.T:
         raise ValueError(f"round {t} outside the horizon 0..{config.T}")
-    base = _base_matrix(past, rho, config, oracle)
-    value = oracle.value_arrays(np.arange(oracle.policy_class.num_contexts), base)
+    value = oracle.value_arrays(None, _base_matrix(past, rho, config, oracle))
     return -value + (config.T - t) * config.K / config.scale
 
 
@@ -381,7 +398,6 @@ class RelaxationLearner:
         self.context_source = _checked_source(config, context_source, oracle.policy_class.num_contexts)
         self.round = len(history) + 1  # the next round to play (1-based)
         self._past = past_loss_matrix(history, oracle.policy_class.num_contexts, config.K)
-        self.min_play_prob = float("inf")
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
 
     def play_round(
@@ -409,7 +425,6 @@ class RelaxationLearner:
         prob = float(dist.probs[action - 1])
         coin = draw_estimator_coin(cost, prob, config.scale, rng)
         self.max_raw_coin_prob = max(self.max_raw_coin_prob, cost / (config.scale * prob))
-        self.min_play_prob = min(self.min_play_prob, float(dist.probs.min()))
         record = HistoryRecord(
             context=x_t,
             played_dist=dist,

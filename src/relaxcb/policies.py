@@ -13,6 +13,12 @@ plays, through an ``(N, U)`` offset table built once per oracle, and sums
 each row.  Both kernels add in the same order as a per-action loop over a
 2-d index, so the results are bit for bit the same.
 
+The learner and the verifier ask about every context once, as a (U, K)
+matrix: ``value_arrays(None, matrix)`` skips the context checks and the
+``bincount`` and takes ``matrix.ravel() + 0.0``.  That is bit for bit the
+``bincount`` of one row per context, which adds each cell once to 0.0
+(both turn -0.0 into +0.0 and pass NaN on).
+
 A learner's round asks one base query and then K charged queries, each the
 base plus one cell.  So an oracle over a large table (``N * U`` at least
 :data:`REMEMBER_MIN_CELLS`) remembers its last full query: the flat
@@ -75,9 +81,6 @@ class PolicyClass:
     def actions_for(self, context: Context) -> np.ndarray:
         """Every policy's action on one context, as an (N,) vector."""
         return self.table[:, context]
-
-    def action_of(self, policy: int, context: Context) -> int:
-        return int(self.table[policy, context])
 
 
 def random_policy_class(
@@ -152,24 +155,31 @@ class ValueOracle:
         flat = policy_class.table - 1
         flat += np.arange(policy_class.num_contexts) * policy_class.num_actions
         self._flat = flat
+        self._shape = (policy_class.num_contexts, policy_class.num_actions)
         self._remember = flat.size >= REMEMBER_MIN_CELLS
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def value_arrays(self, contexts: np.ndarray, losses: np.ndarray) -> float:
-        """Best cumulative loss over the class: ``contexts`` is (m,) ids, ``losses`` is (m, K)."""
+    def value_arrays(self, contexts: np.ndarray | None, losses: np.ndarray) -> float:
+        """Best cumulative loss over the class: ``contexts`` is (m,) ids, ``losses`` is (m, K).
+
+        ``contexts=None`` is the matrix form: ``losses`` is (U, K), row u for
+        context u, read as a new flat array, never a view the caller may mutate.
+        """
         self.stats.increment()
-        m = len(contexts)
+        num_contexts, num_actions = self._shape
+        m = num_contexts if contexts is None else len(contexts)
         if m == 0:
             return 0.0
-        num_contexts = self.policy_class.num_contexts
-        num_actions = self.policy_class.num_actions
         if losses.shape != (m, num_actions):
             raise ValueError(f"losses has shape {losses.shape}, expected ({m}, {num_actions})")
-        if contexts.min() < 0 or contexts.max() >= num_contexts:
-            raise ValueError("context id outside the policy class universe")
-        # Sum losses of repeated contexts first: policies depend on the
-        # context id only, so this is exact and keeps the gather at (N, U).
-        per_context = context_action_sums(contexts, losses, num_contexts).ravel()
+        if contexts is None:
+            per_context = np.asarray(losses, dtype=float).ravel() + 0.0
+        else:
+            if contexts.min() < 0 or contexts.max() >= num_contexts:
+                raise ValueError("context id outside the policy class universe")
+            # Sum losses of repeated contexts first: policies depend on the
+            # context id only, so this is exact and keeps the gather at (N, U).
+            per_context = context_action_sums(contexts, losses, num_contexts).ravel()
         last = self._last  # one read: the answer comes from the snapshot it is compared with
         if last is not None:
             last_cells, last_totals = last

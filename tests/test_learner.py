@@ -29,6 +29,7 @@ from relaxcb import (
     tune_scale,
     water_fill,
 )
+from relaxcb.core import unchecked
 from relaxcb.learner import past_loss_matrix
 from relaxcb.verify import brute_force_minimax
 
@@ -173,6 +174,11 @@ class TestContextSourceSize:
             sample_future(2, cfg, seq, 2, np.random.default_rng(0))
 
 
+def action_of(policy_class, policy, context):
+    """The 1-based action ``policy`` plays on ``context``."""
+    return int(policy_class.table[policy, context])
+
+
 def make_scores(minima, scale):
     return OracleScores.from_minima(np.asarray(minima, dtype=float), scale)
 
@@ -252,12 +258,12 @@ class TestOracleScores:
                 for p in range(n):
                     total = 0.0
                     for rec in history:
-                        if rec.estimate.coordinate == pc.action_of(p, rec.context):
+                        if rec.estimate.coordinate == action_of(pc, p, rec.context):
                             total += scale
-                    if i and pc.action_of(p, x_t) == i:
+                    if i and action_of(pc, p, x_t) == i:
                         total += scale
                     for x in range(u):
-                        total += 2.0 * scale * rho[x, pc.action_of(p, x) - 1]
+                        total += 2.0 * scale * rho[x, action_of(pc, p, x) - 1]
                     best = min(best, total)
                 assert scores.minima[i] == pytest.approx(best, abs=1e-9)
 
@@ -358,6 +364,73 @@ class TestPlayDistribution:
             assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestCombinedCheck:
+    """The round's play distribution is built and checked once, bit for bit as before."""
+
+    def gap_vectors(self, rng, k):
+        """Random gaps plus ties, zeros, -0.0, an exact fill of 1, and huge or tiny values."""
+        for _ in range(200):
+            kind = int(rng.integers(6))
+            if kind == 0:
+                gaps = rng.normal(0.0, 2.0, size=k)
+            elif kind == 1:
+                gaps = rng.dirichlet(np.ones(k))  # fills to 1 up to rounding
+            elif kind == 2:
+                gaps = rng.choice([-0.0, 0.0, 0.25, 0.5, -1.0], size=k)  # ties and signed zeros
+            elif kind == 3:
+                gaps = rng.normal(size=k) * 10.0 ** rng.integers(-17, 3, size=k)
+            elif kind == 4:
+                gaps = rng.normal(size=k) * 1e300
+            else:
+                gaps = rng.random(k) / k
+            yield gaps
+
+    @pytest.mark.parametrize("k,scale", [(2, 2.0), (2, 7.3), (3, 4.5), (5, 5.0), (5, 13.67), (8, 40.0)])
+    def test_bit_identical_to_two_validated_distributions(self, k, scale):
+        rng = np.random.default_rng(k * 100 + int(scale))
+        cfg = LearnerConfig(K=k, T=10, scale=scale)
+        mix = 1.0 - k / scale
+        for gaps in self.gap_vectors(rng, k):
+            scores = OracleScores(minima=np.zeros(k + 1), gaps=gaps)
+            got = play_distribution(scores, cfg)
+            old = ActionDistribution(mix * water_fill(gaps).probs + 1.0 / scale)
+            assert np.array_equal(got.probs.view(np.uint64), old.probs.view(np.uint64))
+            assert not got.probs.flags.writeable
+            assert got.probs.min() >= 1.0 / scale - 1e-12
+
+    def test_engine_scores_match_from_minima(self):
+        rng = np.random.default_rng(41)
+        pc = random_policy_class(50, 10, 5, rng)
+        cfg = LearnerConfig(K=5, T=40, scale=7.5)
+        past = rng.integers(0, 3, size=(10, 5)) * cfg.scale
+        for t in range(1, 41, 7):
+            rho = sample_future(t, cfg, ContextDistribution.uniform(10), 10, rng)
+            scores = oracle_scores(past, int(rng.integers(10)), rho, cfg, ValueOracle(pc))
+            expected = OracleScores.from_minima(scores.minima, cfg.scale)
+            assert np.array_equal(scores.gaps, expected.gaps)
+            assert not (scores.minima.flags.writeable or scores.gaps.flags.writeable)
+
+    def test_nan_in_the_past_stops_the_round(self):
+        pc = random_policy_class(6, 3, 2, np.random.default_rng(42))
+        cfg = LearnerConfig(K=2, T=5, scale=3.0)
+        oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, ContextDistribution.uniform(3))
+        learner._past[:, 0] = np.nan  # a NaN total makes every minimum NaN
+        with pytest.raises(ValueError, match="scores must be finite"):
+            learner.play_round(1, lambda a: 0.5, np.random.default_rng(0))
+        assert oracle.stats.calls == cfg.K + 1
+        assert learner.round == 1
+        with pytest.raises(ValueError, match="scores must be finite"):
+            oracle_scores(learner._past, 1, np.zeros((3, 2), dtype=np.int64), cfg, oracle)
+
+    def test_non_finite_gaps_fail_the_check(self):
+        # gaps that bypassed the scores' own check are still caught once, at the end
+        cfg = LearnerConfig(K=2, T=5, scale=3.0)
+        scores = unchecked(OracleScores, minima=np.zeros(3), gaps=np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError, match="simplex"):
+            play_distribution(scores, cfg)
+
+
 class TestRelaxationValue:
     def test_full_history_zero_estimates(self):
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
@@ -394,10 +467,10 @@ class TestRelaxationValue:
             for p in range(n):
                 total = 0.0
                 for rec in history:
-                    if rec.estimate.coordinate == pc.action_of(p, rec.context):
+                    if rec.estimate.coordinate == action_of(pc, p, rec.context):
                         total += scale
                 for x in range(u):
-                    total += 2.0 * scale * rho[x, pc.action_of(p, x) - 1]
+                    total += 2.0 * scale * rho[x, action_of(pc, p, x) - 1]
                 best = min(best, total)
             expected = -best + (horizon - t) * k / scale
             got = relaxation_value(past_loss_matrix(history, u, k), t, rho, cfg, ValueOracle(pc))

@@ -17,13 +17,18 @@ from relaxcb.learner import future_loss_matrix
 from relaxcb.policies import REMEMBER_MIN_CELLS, context_action_sums
 
 
+def action_of(policy_class, policy, context):
+    """The 1-based action ``policy`` plays on ``context``."""
+    return int(policy_class.table[policy, context])
+
+
 def brute_force_value(policy_class, contexts, losses):
     """Reference oracle: plain double loop over policies and examples."""
     best = None
     for p in range(policy_class.num_policies):
         total = 0.0
         for x, loss in zip(contexts, losses):
-            total += float(loss[policy_class.action_of(p, x) - 1])
+            total += float(loss[action_of(policy_class, p, x) - 1])
         best = total if best is None else min(best, total)
     return best if best is not None else 0.0
 
@@ -228,6 +233,105 @@ class TestIncrementalOracle:
         assert oracle.stats.calls == 240
 
 
+def bits(value):
+    """The 64 bits of a float, so that NaNs and signed zeros compare exactly."""
+    return int(np.float64(value).view(np.uint64))
+
+
+class TestMatrixQuery:
+    """``value_arrays(None, M)`` answers as ``value_arrays(arange(U), M)``, bit for bit."""
+
+    def both(self, pc, matrix_oracle, list_oracle, losses):
+        """Ask both forms once each; checks the counts and returns the two answers."""
+        before = matrix_oracle.stats.calls, list_oracle.stats.calls
+        got = matrix_oracle.value_arrays(None, losses)
+        expected = list_oracle.value_arrays(np.arange(pc.num_contexts), losses)
+        assert (matrix_oracle.stats.calls, list_oracle.stats.calls) == (before[0] + 1, before[1] + 1)
+        return got, expected
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_random_tables(self, k):
+        rng = np.random.default_rng(31)
+        for n, u in [(3, 2), (40, 10), (500, 20), (5000, 50)]:
+            pc = random_policy_class(n, u, k, rng)
+            for _ in range(5):
+                losses = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
+                got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), losses)
+                assert got == expected
+                assert got == loop_value(pc, np.arange(u), losses)
+            wide = rng.normal(size=(u, 2 * k))
+            got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), wide[:, ::2])
+            assert got == expected  # a non-contiguous matrix
+
+    def test_nan_and_negative_zero_cells(self):
+        rng = np.random.default_rng(32)
+        for n, u, k in [(4, 2, 2), (40, 10, 5)]:
+            pc = random_policy_class(n, u, k, rng)
+            for fill in (np.nan, -0.0):
+                losses = rng.normal(size=(u, k))
+                losses[rng.random((u, k)) < 0.3] = fill
+                losses[0] = fill  # every policy reads one such cell
+                got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), losses)
+                assert bits(got) == bits(expected)
+            zeros = np.full((u, k), -0.0)
+            got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), zeros)
+            assert bits(got) == bits(expected) == bits(0.0)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_base_then_charges_on_both_sides_of_the_threshold(self, k):
+        rng = np.random.default_rng(33)
+        for u in (4, 16):
+            for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
+                pc = random_policy_class(n, u, k, rng)
+                matrix_oracle, list_oracle = ValueOracle(pc), ValueOracle(pc)
+                for _ in range(3):
+                    base = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
+                    special = rng.random((u, k))
+                    base[special < 0.1] = np.nan
+                    base[special > 0.9] = -0.0  # the memory holds +0.0, as bincount gives
+                    queries = [base]
+                    x = int(rng.integers(u))
+                    for a in range(k):
+                        charged = base.copy()
+                        charged[x, a] += float(rng.uniform(k, 3 * k))
+                        queries.append(charged)
+                    for losses in queries:
+                        got, expected = self.both(pc, matrix_oracle, list_oracle, losses)
+                        assert bits(got) == bits(expected)
+                    if n * u >= REMEMBER_MIN_CELLS:
+                        matrix_cells, list_cells = matrix_oracle._last[0], list_oracle._last[0]
+                        assert np.array_equal(matrix_cells.view(np.uint64), list_cells.view(np.uint64))
+                    else:
+                        assert matrix_oracle._last is None
+
+    def test_caller_mutating_the_matrix_after_the_call(self):
+        # the memory must hold its own copy: had it kept a view of ``base``,
+        # the next query, one cell off the mutated matrix, would re-sum only
+        # that cell's readers on top of totals of the unmutated one
+        rng = np.random.default_rng(34)
+        u, k = 8, 5
+        pc = random_policy_class(REMEMBER_MIN_CELLS // u, u, k, rng)
+        oracle = ValueOracle(pc)
+        for x1, a1, x2, a2 in [(0, 0, 1, 1), (3, 4, 3, 2), (7, 1, 2, 0)]:
+            base = rng.normal(size=(u, k))
+            oracle.value_arrays(None, base)
+            base[x1, a1] -= 100.0  # mutated in place after the call
+            charged = base.copy()
+            charged[x2, a2] += 7.0
+            got = oracle.value_arrays(None, charged)
+            assert got == ValueOracle(pc).value_arrays(None, charged)
+            assert got == loop_value(pc, np.arange(u), charged)
+
+    def test_wrong_shape_rejected(self):
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1], [1, 1]]), num_actions=2)
+        oracle = ValueOracle(pc)
+        bad_shapes = [(2, 3), (1, 2), (3, 2), (4,)]  # the class is N=3, U=2, K=2
+        for calls, shape in enumerate(bad_shapes, start=1):
+            with pytest.raises(ValueError, match="shape"):
+                oracle.value_arrays(None, np.zeros(shape))
+            assert oracle.stats.calls == calls
+
+
 class TestPolicyClass:
     def test_validates_entries(self):
         with pytest.raises(ValueError, match="entries"):
@@ -237,7 +341,7 @@ class TestPolicyClass:
         pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
         assert pc.num_policies == 2
         assert pc.num_contexts == 2
-        assert pc.action_of(1, 0) == 2
+        assert pc.table[1, 0] == 2
         np.testing.assert_array_equal(pc.actions_for(1), [2, 1])
 
     def test_table_immutable(self):
@@ -361,7 +465,7 @@ class TestBestPolicyLoss:
             contexts = rng.integers(0, u, size=t)
             costs = rng.random((t, k))
             expected = min(
-                sum(costs[i, pc.action_of(p, contexts[i]) - 1] for i in range(t))
+                sum(costs[i, action_of(pc, p, contexts[i]) - 1] for i in range(t))
                 for p in range(pc.num_policies)
             )
             assert best_policy_loss(pc, contexts, costs) == pytest.approx(expected)
