@@ -15,7 +15,6 @@ from .core import (
     draw_estimator_coin,
 )
 from .policies import (
-    OracleStats,
     PolicyClass,
     ValueOracle,
     best_policy_loss,
@@ -32,7 +31,6 @@ from .learner import (
     play_distribution,
     relaxation_value,
     sample_future,
-    step,
     tune_scale,
     water_fill,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "HistoryRecord",
     "LearnerConfig",
     "OracleScores",
-    "OracleStats",
     "PolicyClass",
     "RelaxationLearner",
     "RunResult",
@@ -111,7 +108,6 @@ __all__ = [
     "run_experiment",
     "sample_future",
     "simplex_grid",
-    "step",
     "sup_by_vertex_enumeration",
     "theoretical_bound",
     "tune_scale",

@@ -42,25 +42,19 @@ class Exp4State:
         return w / w.sum()
 
 
-def make_exp4_state(
-    policy_class: PolicyClass,
-    horizon: int,
-    exploration_scale: float = 1.0,
-    learning_rate: float | None = None,
-) -> Exp4State:
+def make_exp4_state(policy_class: PolicyClass, horizon: int) -> Exp4State:
     """Uniform initial weights with horizon-tuned exploration.
 
-    The mixing weight is ``min(1, exploration_scale * sqrt(K ln N / (T K)))``
-    and the default learning rate is ``exploration / K``.
+    Mixing weight ``gamma = min(1, sqrt(K ln N / (T K)))``, in which K cancels
+    (0.0442 at K=5, N=50, T=2000), and learning rate ``gamma / K``.  Auer et al.
+    (2002) tune Exp4 with ``sqrt(K ln N / ((e - 1) T))`` instead (0.0754 there).
     """
     n = policy_class.num_policies
     k = policy_class.num_actions
-    gamma = min(1.0, exploration_scale * math.sqrt(k * math.log(max(n, 2)) / (horizon * k)))
-    if learning_rate is None:
-        learning_rate = gamma / k
+    gamma = min(1.0, math.sqrt(k * math.log(max(n, 2)) / (horizon * k)))
     return Exp4State(
         log_weights=np.zeros(n),
-        learning_rate=learning_rate,
+        learning_rate=gamma / k,
         exploration=gamma,
         policy_class=policy_class,
     )

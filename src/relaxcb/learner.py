@@ -91,6 +91,10 @@ def tune_scale(num_actions: int, horizon: int, num_policies: int) -> float:
     Returns ``max(K, (K*T / ln N)**(1/3))`` as a real number (no rounding).
     The clamp engages exactly when ``T < K**2 * ln N``; callers should flag
     such runs as outside the tuned regime (see ``in_tuning_regime``).
+
+    This is not the minimiser of ``harness.bound_curve``'s final value,
+    ``(K*T / (2 ln N))**(1/3)``: at K=5, N=50, T=2000 it returns 13.67
+    (bound 2800.0) where the minimiser is 10.85 (bound 2764.4).
     """
     if num_policies < 2:
         raise ValueError(f"need at least 2 policies to tune, got {num_policies}")
@@ -205,7 +209,7 @@ def sample_future(
 def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_actions: int) -> np.ndarray:
     """Sum recorded estimates into a (U, K) per-context loss matrix.
 
-    This is the "past" that the functional path takes.  Estimates are
+    This is the "past" that :func:`oracle_scores` takes.  Estimates are
     sparse, so this walks the nonzero ones directly, in history order.
     """
     mat = np.zeros((num_contexts, num_actions))
@@ -242,14 +246,18 @@ def oracle_scores(
     (:func:`past_loss_matrix`) and ``rho`` the (U, K) sign sums of the
     future (:func:`sample_future`).  Each answer is one oracle call on
     ``past`` plus the future loss matrix plus the single charge at the
-    current context (absent for index 0); exactly K+1 calls total.
+    current context (absent for index 0); exactly K+1 calls total.  A
+    context id outside the class's 0..U-1 fails before the first call.
     """
+    num_contexts = oracle.policy_class.num_contexts
+    if not 0 <= x_t < num_contexts:
+        raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
     base = _base_matrix(past, rho, config, oracle)
-    minima = [oracle.value_arrays(None, base)]
+    minima = [oracle.value_arrays(base)]
     for a in range(config.K):
         charged = base.copy()
         charged[x_t, a] += config.scale
-        minima.append(oracle.value_arrays(None, charged))
+        minima.append(oracle.value_arrays(charged))
     # from_minima's arithmetic, checked once: finite gaps imply finite minima.
     gaps = [(m - minima[0]) / config.scale for m in minima[1:]]
     if not all(map(math.isfinite, gaps)):
@@ -351,39 +359,18 @@ def relaxation_value(
     """
     if not 0 <= t <= config.T:
         raise ValueError(f"round {t} outside the horizon 0..{config.T}")
-    value = oracle.value_arrays(None, _base_matrix(past, rho, config, oracle))
+    value = oracle.value_arrays(_base_matrix(past, rho, config, oracle))
     return -value + (config.T - t) * config.K / config.scale
-
-
-def step(
-    t: int,
-    history: list[HistoryRecord],
-    x_t: Context,
-    cost_of: Callable[[ActionIndex], float],
-    config: LearnerConfig,
-    oracle: ValueOracle,
-    context_source: ContextSource,
-    rng: np.random.Generator,
-) -> tuple[ActionIndex, list[HistoryRecord]]:
-    """Play round ``t`` after ``history`` with :meth:`RelaxationLearner.play_round`.
-
-    Returns the played action and the extended history (a new list).
-    """
-    if t != len(history) + 1:
-        raise ValueError(f"round {t} does not follow a history of {len(history)} rounds")
-    record = RelaxationLearner(config, oracle, context_source, history).play_round(x_t, cost_of, rng)
-    return record.played_action, [*history, record]
 
 
 class RelaxationLearner:
     """The round engine; one instance per replication.
 
-    Keeps the (U, K) past matrix and the next round's number, not a record
-    list; each new estimate is added to the matrix in place.  ``history``
-    optionally gives the rounds already played (:func:`step` starts from
-    one).  Instances are single-threaded.  Each replication gets its own
-    learner, oracle and generator, as the harness does; there is no
-    parallel path.
+    Starts at round 1 with a zero (U, K) past matrix and keeps that matrix
+    and the next round's number, not a record list; each new estimate is
+    added to the matrix in place.  Instances are single-threaded.  Each
+    replication gets its own learner, oracle and generator, as the harness
+    does; there is no parallel path.
     """
 
     def __init__(
@@ -391,13 +378,12 @@ class RelaxationLearner:
         config: LearnerConfig,
         oracle: ValueOracle,
         context_source: ContextSource,
-        history: Sequence[HistoryRecord] = (),
     ) -> None:
         self.config = config
         self.oracle = oracle
         self.context_source = _checked_source(config, context_source, oracle.policy_class.num_contexts)
-        self.round = len(history) + 1  # the next round to play (1-based)
-        self._past = past_loss_matrix(history, oracle.policy_class.num_contexts, config.K)
+        self.round = 1  # the next round to play
+        self._past = np.zeros((oracle.policy_class.num_contexts, config.K))
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
 
     def play_round(
@@ -411,12 +397,15 @@ class RelaxationLearner:
         ``cost_of`` reveals just the played action's cost, preserving bandit
         feedback.  The estimator coin uses the realized play distribution of
         this round (the one actually sampled from), so its success
-        probability stays at most 1.
+        probability stays at most 1.  In transductive mode ``x_t`` must be
+        the known context of this round.
         """
         t = self.round
-        if t > self.config.T:
-            raise ValueError(f"round {t} beyond horizon {self.config.T}")
         config = self.config
+        if t > config.T:
+            raise ValueError(f"round {t} beyond horizon {config.T}")
+        if config.mode == "transductive" and x_t != self.context_source[t - 1]:
+            raise ValueError(f"round {t} has the known context {self.context_source[t - 1]}, got {x_t}")
         rho = sample_future(t, config, self.context_source, self.oracle.policy_class.num_contexts, rng)
         scores = oracle_scores(self._past, x_t, rho, config, self.oracle)
         dist = play_distribution(scores, config)

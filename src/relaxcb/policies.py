@@ -6,18 +6,14 @@ one query: the minimum cumulative loss any single policy attains on a
 weighted example sequence.  It is exact enumeration and every invocation is
 counted, because the learner's efficiency claim is measured in oracle calls.
 
-One call runs two numpy kernels.  :func:`context_action_sums` adds the
-examples into a flat per-(context, action) vector with a single
-``bincount``.  A flat gather then reads, for every policy, the cells it
-plays, through an ``(N, U)`` offset table built once per oracle, and sums
-each row.  Both kernels add in the same order as a per-action loop over a
-2-d index, so the results are bit for bit the same.
-
-The learner and the verifier ask about every context once, as a (U, K)
-matrix: ``value_arrays(None, matrix)`` skips the context checks and the
-``bincount`` and takes ``matrix.ravel() + 0.0``.  That is bit for bit the
-``bincount`` of one row per context, which adds each cell once to 0.0
-(both turn -0.0 into +0.0 and pass NaN on).
+Policies depend on the context id only, so a query is the (U, K) matrix
+whose row u sums the losses of the examples at context u.  A call reads it
+as the new flat vector ``matrix.ravel() + 0.0`` (-0.0 becomes +0.0, as in a
+sum into a zeroed matrix; NaN passes on).  A flat gather reads, for every
+policy, the cells it plays through an ``(N, U)`` offset table built once per
+oracle and sums each row as a 2-d index gather would, bit for bit.
+:func:`best_policy_loss` folds a (T,) context sequence into that matrix
+with one ``bincount`` (:func:`context_action_sums`).
 
 A learner's round asks one base query and then K charged queries, each the
 base plus one cell.  So an oracle over a large table (``N * U`` at least
@@ -88,20 +84,19 @@ def random_policy_class(
     num_contexts: int,
     num_actions: int,
     rng: np.random.Generator,
-    max_tries: int = 100,
 ) -> PolicyClass:
     """Draw a uniformly random policy table.
 
     Resamples until every action is played by some policy on some context,
-    so comparators are never degenerate.
+    so comparators are never degenerate; gives up after 100 tables.
     """
     if num_policies * num_contexts < num_actions:
         raise ValueError("table too small to cover every action")
-    for _ in range(max_tries):
+    for _ in range(100):
         table = rng.integers(1, num_actions + 1, size=(num_policies, num_contexts))
         if np.unique(table).size == num_actions:
             return PolicyClass(table=table, num_actions=num_actions)
-    raise RuntimeError(f"no action-covering table found in {max_tries} tries")
+    raise RuntimeError("no action-covering table found in 100 tries")
 
 
 def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:
@@ -147,9 +142,9 @@ class ValueOracle:
     with and stays exact.
     """
 
-    def __init__(self, policy_class: PolicyClass, stats: OracleStats | None = None) -> None:
+    def __init__(self, policy_class: PolicyClass) -> None:
         self.policy_class = policy_class
-        self.stats = stats if stats is not None else OracleStats()
+        self.stats = OracleStats()
         # (N, U) offsets into the flat (U * K) per-context loss vector:
         # policy p at context u reads cell u * K + table[p, u] - 1.
         flat = policy_class.table - 1
@@ -159,27 +154,17 @@ class ValueOracle:
         self._remember = flat.size >= REMEMBER_MIN_CELLS
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def value_arrays(self, contexts: np.ndarray | None, losses: np.ndarray) -> float:
-        """Best cumulative loss over the class: ``contexts`` is (m,) ids, ``losses`` is (m, K).
+    def value_arrays(self, losses: np.ndarray) -> float:
+        """Best cumulative loss over the class on the (U, K) matrix ``losses``.
 
-        ``contexts=None`` is the matrix form: ``losses`` is (U, K), row u for
-        context u, read as a new flat array, never a view the caller may mutate.
+        Row u holds the losses at context u.  The matrix is read as a new flat
+        array, never a view the caller may mutate.
         """
         self.stats.increment()
-        num_contexts, num_actions = self._shape
-        m = num_contexts if contexts is None else len(contexts)
-        if m == 0:
-            return 0.0
-        if losses.shape != (m, num_actions):
-            raise ValueError(f"losses has shape {losses.shape}, expected ({m}, {num_actions})")
-        if contexts is None:
-            per_context = np.asarray(losses, dtype=float).ravel() + 0.0
-        else:
-            if contexts.min() < 0 or contexts.max() >= num_contexts:
-                raise ValueError("context id outside the policy class universe")
-            # Sum losses of repeated contexts first: policies depend on the
-            # context id only, so this is exact and keeps the gather at (N, U).
-            per_context = context_action_sums(contexts, losses, num_contexts).ravel()
+        num_actions = self._shape[1]
+        if losses.shape != self._shape:
+            raise ValueError(f"losses has shape {losses.shape}, expected {self._shape}")
+        per_context = np.asarray(losses, dtype=float).ravel() + 0.0
         last = self._last  # one read: the answer comes from the snapshot it is compared with
         if last is not None:
             last_cells, last_totals = last

@@ -30,6 +30,7 @@ from relaxcb import (
     ContextDistribution,
     LearnerConfig,
     OracleScores,
+    RelaxationLearner,
     ValueOracle,
     admissibility_check,
     emit_outputs,
@@ -37,7 +38,6 @@ from relaxcb import (
     rademacher_bound_check,
     random_policy_class,
     run_experiment,
-    step,
     sup_by_vertex_enumeration,
     theoretical_bound,
     unbiasedness_check,
@@ -201,7 +201,8 @@ def test_criterion_7_one_step_admissibility():
         first = admissibility_check(policy_class, config, dist, [], draws=4000, rng=rng)
         oracle = ValueOracle(policy_class)
         costs = rng.random(2)
-        _, history = step(1, [], dist.sample(rng), lambda a: costs[a - 1], config, oracle, dist, rng)
+        learner = RelaxationLearner(config, oracle, dist)
+        history = [learner.play_round(dist.sample(rng), lambda a: costs[a - 1], rng)]
         second = admissibility_check(policy_class, config, dist, history, draws=4000, rng=rng)
         ok = ok and first.passed(3.0) and second.passed(3.0)
         margins.extend([first.margin, second.margin])

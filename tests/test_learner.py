@@ -24,7 +24,6 @@ from relaxcb import (
     random_policy_class,
     relaxation_value,
     sample_future,
-    step,
     sup_by_vertex_enumeration,
     tune_scale,
     water_fill,
@@ -570,69 +569,53 @@ class TestStep:
     def test_oracle_budget_per_step(self):
         pc, cfg, dist = self.setup_instance()
         oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, dist)
         rng = np.random.default_rng(1)
         costs = np.random.default_rng(2).random((3, 2))
-        history = []
         for t in range(1, 4):
-            x = dist.sample(rng)
-            _, history = step(t, history, x, lambda a: costs[t - 1, a - 1], cfg, oracle, dist, rng)
+            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng)
             assert oracle.stats.calls == t * (cfg.K + 1)
 
     def test_singleton_class_at_minimal_scale_plays_uniform(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=4, scale=2.0)
-        oracle = ValueOracle(pc)
-        dist = ContextDistribution.uniform(2)
+        learner = RelaxationLearner(cfg, ValueOracle(pc), ContextDistribution.uniform(2))
         rng = np.random.default_rng(3)
-        history = []
-        for t in range(1, 5):
-            _, history = step(t, history, 0, lambda a: 0.3, cfg, oracle, dist, rng)
-        for rec in history:
+        for _ in range(4):
+            rec = learner.play_round(0, lambda a: 0.3, rng)
             np.testing.assert_allclose(rec.played_dist.probs, 0.5)
-
-    def test_round_must_extend_history(self):
-        pc, cfg, dist = self.setup_instance()
-        with pytest.raises(ValueError, match="history"):
-            step(2, [], 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, np.random.default_rng(0))
 
     def test_round_beyond_horizon_rejected(self):
         pc, cfg, dist = self.setup_instance(horizon=3)
         costs = np.random.default_rng(2).random((3, 2))
         rng = np.random.default_rng(1)
         learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
-        records = [
-            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng) for t in range(1, 4)
-        ]
+        for t in range(1, 4):
+            learner.play_round(dist.sample(rng), lambda a: costs[t - 1, a - 1], rng)
         with pytest.raises(ValueError, match="horizon"):
             learner.play_round(0, lambda a: 0.0, rng)
-        with pytest.raises(ValueError, match="horizon"):
-            step(4, records, 0, lambda a: 0.0, cfg, ValueOracle(pc), dist, rng)
 
-    def test_class_engine_matches_functional_step(self):
-        pc, cfg, dist = self.setup_instance(seed=11, horizon=6)
-        costs = np.random.default_rng(4).random((6, 2))
-        contexts = np.random.default_rng(5).integers(0, 2, size=6)
+    @pytest.mark.parametrize("x_t", [-1, 3])
+    def test_context_outside_the_class_rejected_before_any_call(self, x_t):
+        pc, cfg, dist = self.setup_instance(u=3)
+        oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, dist)
+        with pytest.raises(ValueError, match=f"context id {x_t} outside 0..2 of a 3-context class"):
+            learner.play_round(x_t, lambda a: 0.5, np.random.default_rng(0))
+        assert oracle.stats.calls == 0
+        assert learner.round == 1
 
-        rng_a = np.random.default_rng(6)
-        history = []
-        for t in range(1, 7):
-            _, history = step(
-                t, history, int(contexts[t - 1]), lambda a: costs[t - 1, a - 1],
-                cfg, ValueOracle(pc), dist, rng_a,
-            )
-
-        rng_b = np.random.default_rng(6)
-        learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
-        records = [
-            learner.play_round(int(contexts[t - 1]), lambda a: costs[t - 1, a - 1], rng_b)
-            for t in range(1, 7)
-        ]
-
-        assert len(history) == len(records) == 6
-        for rec_a, rec_b in zip(history, records):
-            assert rec_a.played_action == rec_b.played_action
-            assert rec_a.estimate == rec_b.estimate
-            np.testing.assert_allclose(rec_a.played_dist.probs, rec_b.played_dist.probs)
+    def test_transductive_context_must_be_the_known_one(self):
+        pc, _, _ = self.setup_instance(u=3)
+        cfg = LearnerConfig(K=2, T=3, scale=3.0, mode="transductive")
+        oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, np.array([0, 2, 1]))
+        with pytest.raises(ValueError, match="round 1 has the known context 0, got 2"):
+            learner.play_round(2, lambda a: 0.5, np.random.default_rng(0))
+        assert oracle.stats.calls == 0
+        assert learner.round == 1
+        learner.play_round(0, lambda a: 0.5, np.random.default_rng(0))
+        assert learner.round == 2
 
 
 class TestGoldenTrace:

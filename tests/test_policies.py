@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relaxcb import (
-    OracleStats,
     PolicyClass,
     ValueOracle,
     best_policy_loss,
@@ -77,7 +76,8 @@ class TestFlatAggregationExactness:
     def test_value_arrays(self):
         for pc, contexts, losses in exactness_instances(np.random.default_rng(12)):
             oracle = ValueOracle(pc)
-            assert oracle.value_arrays(contexts, losses) == loop_value(pc, contexts, losses)
+            matrix = loop_per_context(contexts, losses, pc.num_contexts)
+            assert oracle.value_arrays(matrix) == loop_value(pc, contexts, losses)
             assert oracle.stats.calls == 1
 
     def test_value_arrays_on_every_context_once(self):
@@ -88,7 +88,7 @@ class TestFlatAggregationExactness:
             contexts = np.arange(u)
             for _ in range(5):
                 losses = rng.normal(size=(u, k)) * 100.0
-                assert ValueOracle(pc).value_arrays(contexts, losses) == loop_value(pc, contexts, losses)
+                assert ValueOracle(pc).value_arrays(losses) == loop_value(pc, contexts, losses)
 
     def test_best_policy_loss(self):
         for pc, contexts, costs in exactness_instances(np.random.default_rng(14)):
@@ -113,12 +113,11 @@ class TestIncrementalOracle:
     """An oracle that remembers its last full query answers exactly as a fresh one."""
 
     def ask(self, oracle, losses):
-        """One query on every context once; checks the count and a fresh oracle's answer."""
-        contexts = np.arange(oracle.policy_class.num_contexts)
+        """One query; checks the count and a fresh oracle's answer."""
         before = oracle.stats.calls
-        got = oracle.value_arrays(contexts, losses)
+        got = oracle.value_arrays(losses)
         assert oracle.stats.calls == before + 1
-        assert same_value(got, ValueOracle(oracle.policy_class).value_arrays(contexts, losses))
+        assert same_value(got, ValueOracle(oracle.policy_class).value_arrays(losses))
         return got
 
     def sized_classes(self, rng):
@@ -199,7 +198,6 @@ class TestIncrementalOracle:
     def test_concurrent_queries_stay_exact(self):
         rng = np.random.default_rng(25)
         pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
-        contexts = np.arange(8)
         queries = []
         for _ in range(6):
             base = rng.normal(size=(8, 5))
@@ -208,14 +206,14 @@ class TestIncrementalOracle:
                 charged = base.copy()
                 charged[int(rng.integers(8)), a] += 5.0
                 queries.append(charged)
-        expected = [ValueOracle(pc).value_arrays(contexts, q) for q in queries]
+        expected = [ValueOracle(pc).value_arrays(q) for q in queries]
         oracle = ValueOracle(pc)
         wrong = []
 
         def worker(offset):
             for i in range(60):
                 j = (offset + i) % len(queries)
-                if oracle.value_arrays(contexts, queries[j]) != expected[j]:
+                if oracle.value_arrays(queries[j]) != expected[j]:
                     wrong.append(j)
 
         threads = [threading.Thread(target=worker, args=(6 * t,)) for t in range(4)]
@@ -239,15 +237,14 @@ def bits(value):
 
 
 class TestMatrixQuery:
-    """``value_arrays(None, M)`` answers as ``value_arrays(arange(U), M)``, bit for bit."""
+    """``value_arrays(M)`` answers as the per-action loop over contexts ``arange(U)``, bit for bit."""
 
-    def both(self, pc, matrix_oracle, list_oracle, losses):
-        """Ask both forms once each; checks the counts and returns the two answers."""
-        before = matrix_oracle.stats.calls, list_oracle.stats.calls
-        got = matrix_oracle.value_arrays(None, losses)
-        expected = list_oracle.value_arrays(np.arange(pc.num_contexts), losses)
-        assert (matrix_oracle.stats.calls, list_oracle.stats.calls) == (before[0] + 1, before[1] + 1)
-        return got, expected
+    def both(self, pc, oracle, losses):
+        """Ask the oracle once; checks the count and returns it with the loop's answer."""
+        before = oracle.stats.calls
+        got = oracle.value_arrays(losses)
+        assert oracle.stats.calls == before + 1
+        return got, loop_value(pc, np.arange(pc.num_contexts), losses)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_random_tables(self, k):
@@ -256,11 +253,10 @@ class TestMatrixQuery:
             pc = random_policy_class(n, u, k, rng)
             for _ in range(5):
                 losses = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
-                got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), losses)
+                got, expected = self.both(pc, ValueOracle(pc), losses)
                 assert got == expected
-                assert got == loop_value(pc, np.arange(u), losses)
             wide = rng.normal(size=(u, 2 * k))
-            got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), wide[:, ::2])
+            got, expected = self.both(pc, ValueOracle(pc), wide[:, ::2])
             assert got == expected  # a non-contiguous matrix
 
     def test_nan_and_negative_zero_cells(self):
@@ -271,10 +267,10 @@ class TestMatrixQuery:
                 losses = rng.normal(size=(u, k))
                 losses[rng.random((u, k)) < 0.3] = fill
                 losses[0] = fill  # every policy reads one such cell
-                got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), losses)
+                got, expected = self.both(pc, ValueOracle(pc), losses)
                 assert bits(got) == bits(expected)
             zeros = np.full((u, k), -0.0)
-            got, expected = self.both(pc, ValueOracle(pc), ValueOracle(pc), zeros)
+            got, expected = self.both(pc, ValueOracle(pc), zeros)
             assert bits(got) == bits(expected) == bits(0.0)
 
     @pytest.mark.parametrize("k", [2, 5])
@@ -283,12 +279,12 @@ class TestMatrixQuery:
         for u in (4, 16):
             for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
                 pc = random_policy_class(n, u, k, rng)
-                matrix_oracle, list_oracle = ValueOracle(pc), ValueOracle(pc)
+                oracle = ValueOracle(pc)
                 for _ in range(3):
                     base = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
                     special = rng.random((u, k))
                     base[special < 0.1] = np.nan
-                    base[special > 0.9] = -0.0  # the memory holds +0.0, as bincount gives
+                    base[special > 0.9] = -0.0  # the memory holds +0.0, as the loop's bincount gives
                     queries = [base]
                     x = int(rng.integers(u))
                     for a in range(k):
@@ -296,13 +292,13 @@ class TestMatrixQuery:
                         charged[x, a] += float(rng.uniform(k, 3 * k))
                         queries.append(charged)
                     for losses in queries:
-                        got, expected = self.both(pc, matrix_oracle, list_oracle, losses)
+                        got, expected = self.both(pc, oracle, losses)
                         assert bits(got) == bits(expected)
                     if n * u >= REMEMBER_MIN_CELLS:
-                        matrix_cells, list_cells = matrix_oracle._last[0], list_oracle._last[0]
-                        assert np.array_equal(matrix_cells.view(np.uint64), list_cells.view(np.uint64))
+                        cells = loop_per_context(np.arange(u), base, u).ravel()
+                        assert np.array_equal(oracle._last[0].view(np.uint64), cells.view(np.uint64))
                     else:
-                        assert matrix_oracle._last is None
+                        assert oracle._last is None
 
     def test_caller_mutating_the_matrix_after_the_call(self):
         # the memory must hold its own copy: had it kept a view of ``base``,
@@ -314,12 +310,12 @@ class TestMatrixQuery:
         oracle = ValueOracle(pc)
         for x1, a1, x2, a2 in [(0, 0, 1, 1), (3, 4, 3, 2), (7, 1, 2, 0)]:
             base = rng.normal(size=(u, k))
-            oracle.value_arrays(None, base)
+            oracle.value_arrays(base)
             base[x1, a1] -= 100.0  # mutated in place after the call
             charged = base.copy()
             charged[x2, a2] += 7.0
-            got = oracle.value_arrays(None, charged)
-            assert got == ValueOracle(pc).value_arrays(None, charged)
+            got = oracle.value_arrays(charged)
+            assert got == ValueOracle(pc).value_arrays(charged)
             assert got == loop_value(pc, np.arange(u), charged)
 
     def test_wrong_shape_rejected(self):
@@ -328,7 +324,7 @@ class TestMatrixQuery:
         bad_shapes = [(2, 3), (1, 2), (3, 2), (4,)]  # the class is N=3, U=2, K=2
         for calls, shape in enumerate(bad_shapes, start=1):
             with pytest.raises(ValueError, match="shape"):
-                oracle.value_arrays(None, np.zeros(shape))
+                oracle.value_arrays(np.zeros(shape))
             assert oracle.stats.calls == calls
 
 
@@ -368,24 +364,18 @@ class TestRandomPolicyClass:
 
 
 class TestValueOracle:
-    def test_empty_sequence_is_zero(self):
-        oracle = ValueOracle(PolicyClass(table=np.array([[1, 2]]), num_actions=2))
-        assert oracle.value_arrays(np.zeros(0, dtype=np.int64), np.zeros((0, 2))) == 0.0
-        assert oracle.stats.calls == 1
-
     def test_two_policy_example(self):
         # constant policies x->1 and x->2; one example with losses (0.3, 0.7)
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        value = oracle.value_arrays(np.array([0]), np.array([[0.3, 0.7]]))
+        value = oracle.value_arrays(np.array([[0.3, 0.7]]))
         assert value == pytest.approx(0.3)
 
     def test_singleton_class_exact_sum(self):
         pc = PolicyClass(table=np.array([[2, 1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        contexts = np.array([0, 2, 1])
-        losses = np.array([[0.1, 0.9], [0.4, 0.2], [0.5, 0.8]])
-        assert oracle.value_arrays(contexts, losses) == pytest.approx(0.9 + 0.2 + 0.5)
+        losses = np.array([[0.1, 0.9], [0.5, 0.8], [0.4, 0.2]])  # row x: losses at context x
+        assert oracle.value_arrays(losses) == pytest.approx(0.9 + 0.5 + 0.2)
 
     def test_matches_brute_force_on_random_inputs(self):
         rng = np.random.default_rng(1)
@@ -396,27 +386,25 @@ class TestValueOracle:
             m = int(rng.integers(0, 12))
             contexts = rng.integers(0, u, size=m)
             losses = rng.normal(size=(m, k))
-            assert oracle.value_arrays(contexts, losses) == pytest.approx(
+            assert oracle.value_arrays(context_action_sums(contexts, losses, u)) == pytest.approx(
                 brute_force_value(pc, contexts, losses)
             )
 
     def test_call_accounting(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
-        stats = OracleStats()
-        oracle = ValueOracle(pc, stats=stats)
+        oracle = ValueOracle(pc)
         for expect in range(1, 6):
-            oracle.value_arrays(np.array([0]), np.array([[0.5, 0.5]]))
-            assert stats.calls == expect
+            oracle.value_arrays(np.array([[0.5, 0.5], [0.0, 0.0]]))
+            assert oracle.stats.calls == expect
 
     def test_concurrent_increments_not_lost(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        contexts = np.array([0, 1], dtype=np.int64)
         losses = np.array([[0.1, 0.2], [0.3, 0.4]])
 
         def worker():
             for _ in range(200):
-                oracle.value_arrays(contexts, losses)
+                oracle.value_arrays(losses)
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for th in threads:
@@ -424,12 +412,6 @@ class TestValueOracle:
         for th in threads:
             th.join()
         assert oracle.stats.calls == 800
-
-    def test_rejects_out_of_universe_context(self):
-        pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
-        oracle = ValueOracle(pc)
-        with pytest.raises(ValueError, match="universe"):
-            oracle.value_arrays(np.array([5]), np.array([[0.1, 0.2]]))
 
 
 class TestBestPolicyLoss:

@@ -10,6 +10,7 @@ from relaxcb import (
     ContextDistribution,
     LearnerConfig,
     OracleScores,
+    RelaxationLearner,
     ValueOracle,
     admissibility_check,
     brute_force_minimax,
@@ -17,7 +18,6 @@ from relaxcb import (
     rademacher_bound_check,
     random_policy_class,
     simplex_grid,
-    step,
     sup_by_vertex_enumeration,
     unbiasedness_check,
     water_fill,
@@ -163,7 +163,8 @@ class TestAdmissibilityCheck:
         dist = ContextDistribution.uniform(2)
         oracle = ValueOracle(pc)
         costs = rng.random(2)
-        _, history = step(1, [], dist.sample(rng), lambda a: costs[a - 1], cfg, oracle, dist, rng)
+        learner = RelaxationLearner(cfg, oracle, dist)
+        history = [learner.play_round(dist.sample(rng), lambda a: costs[a - 1], rng)]
         res = admissibility_check(pc, cfg, dist, history, 1500, rng)
         assert res.round_index == 2
         assert res.passed()
@@ -173,6 +174,6 @@ class TestAdmissibilityCheck:
         pc = random_policy_class(4, 2, 2, rng)
         cfg = LearnerConfig(K=2, T=1, scale=3.0)
         dist = ContextDistribution.uniform(2)
-        _, history = step(1, [], 0, lambda a: 0.5, cfg, ValueOracle(pc), dist, rng)
+        history = [RelaxationLearner(cfg, ValueOracle(pc), dist).play_round(0, lambda a: 0.5, rng)]
         with pytest.raises(ValueError, match="horizon"):
             admissibility_check(pc, cfg, dist, history, 10, rng)
