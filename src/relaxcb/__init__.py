@@ -36,6 +36,7 @@ from .learner import (
 )
 from .environments import (
     ContextDistribution,
+    ContextSequence,
     CostSchedule,
     make_adversary,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "ConfigError",
     "Context",
     "ContextDistribution",
+    "ContextSequence",
     "CostSchedule",
     "EstimatedCost",
     "Exp4State",

@@ -44,6 +44,24 @@ class ContextDistribution:
         return np.minimum(idx, self.num_contexts - 1).astype(np.int64)
 
 
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the ids array
+class ContextSequence:
+    """The known context ids of rounds 1..T (transductive), checked once and kept read-only as int64."""
+
+    ids: np.ndarray
+    num_contexts: int
+
+    def __post_init__(self) -> None:
+        ids, u = np.asarray(self.ids), self.num_contexts
+        if ids.ndim != 1 or ids.size == 0 or not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"context ids need a non-empty 1-d integer array, got {ids.dtype} {ids.shape}")
+        outside = ids[(ids < 0) | (ids >= u)]
+        if outside.size:
+            raise ValueError(f"known context id {outside[0]} outside 0..{u - 1} of a {u}-context class")
+        object.__setattr__(self, "ids", ids.astype(np.int64))
+        self.ids.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class CostSchedule:
     """A full horizon of cost vectors, fixed before the run (oblivious)."""

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import exp4_step, exp4_update, make_exp4_state, uniform_step
-from .environments import ADVERSARY_TYPES, ContextDistribution, CostSchedule, make_adversary
-from .learner import LearnerConfig, RelaxationLearner, in_tuning_regime, tune_scale
+from .environments import ADVERSARY_TYPES, ContextDistribution, ContextSequence, CostSchedule, make_adversary
+from .learner import ContextSource, LearnerConfig, RelaxationLearner, in_tuning_regime, tune_scale
 from .policies import PolicyClass, ValueOracle, random_policy_class
 
 LEARNERS = ("relax", "exp4", "uniform")
@@ -183,7 +183,10 @@ def _require_int(obj: dict, key: str, minimum: int | None = None, default=None, 
 def policy_class_from_config(spec: dict, num_actions: int) -> PolicyClass:
     if spec["type"] == "table":
         rng = np.random.default_rng(np.random.SeedSequence(spec["seed"]))
-        return random_policy_class(spec["N"], spec["U"], num_actions, rng)
+        try:
+            return random_policy_class(spec["N"], spec["U"], num_actions, rng)
+        except ValueError as exc:
+            raise ConfigError("policyClass.seed", f"{exc}; try another seed") from exc
     try:
         return PolicyClass(table=np.asarray(spec["table"], dtype=np.int64), num_actions=num_actions)
     except ValueError as exc:
@@ -279,21 +282,22 @@ def run_experiment(config: dict) -> ExperimentResult:
     else:
         scale = float(cfg["L"])
     out_of_regime = not in_tuning_regime(k, horizon, num_policies)
-    mode = "transductive" if cfg["environment"]["transductive"] else "iid-sampler"
-    learner_config = LearnerConfig(K=k, T=horizon, scale=scale, mode=mode)
+    learner_config = LearnerConfig(K=k, T=horizon, scale=scale)
+    transductive = cfg["environment"]["transductive"]
 
     start = time.perf_counter()
     runs = []
     for rep, child in enumerate(np.random.SeedSequence(cfg["seed"]).spawn(reps)):
         ctx_ss, learner_ss = child.spawn(2)
         contexts = context_dist.sample(np.random.default_rng(ctx_ss), size=horizon)
+        source = ContextSequence(contexts, context_dist.num_contexts) if transductive else context_dist
         runs.append(
             _run_one(
                 kind=cfg["learner"],
                 learner_config=learner_config,
                 policy_class=policy_class,
                 schedule=schedule,
-                context_dist=context_dist,
+                source=source,
                 contexts=contexts,
                 rng=np.random.default_rng(learner_ss),
                 seed=cfg["seed"],
@@ -330,7 +334,7 @@ def _run_one(
     learner_config: LearnerConfig,
     policy_class: PolicyClass,
     schedule: CostSchedule,
-    context_dist: ContextDistribution,
+    source: ContextSource,
     contexts: np.ndarray,
     rng: np.random.Generator,
     seed: int,
@@ -349,7 +353,6 @@ def _run_one(
     oracle = None
     exp4_state = None
     if kind == "relax":
-        source = contexts if learner_config.mode == "transductive" else context_dist
         oracle = ValueOracle(policy_class)
         learner = RelaxationLearner(learner_config, oracle, source)
     elif kind == "exp4":

@@ -18,10 +18,10 @@ Randomness contract (one round with ``n`` remaining rounds consumes, in
 order):
 
 1. hits -- ``rng.binomial(n, K/scale)``, the number of remaining rounds
-   whose perturbation magnitude is nonzero (not drawn in transductive mode);
-2. per-context counts -- ``rng.multinomial(hits, probs)``; in transductive
-   mode instead ``rng.binomial(m, K/scale)``, thinning the vector ``m`` of
-   each context's count in the known suffix;
+   whose magnitude is nonzero (not drawn for a ``ContextSequence`` source);
+2. per-context counts -- ``rng.multinomial(hits, probs)``; for a
+   ``ContextSequence`` source instead ``rng.binomial(m, K/scale)``, thinning
+   the vector ``m`` of each context's count in the known suffix;
 3. heads -- ``rng.binomial(counts[:, None], 0.5, size=(U, K))``, drawn in
    row-major (u, k) order; each sign sum is ``2 * heads - counts``;
 4. the played action -- one uniform;
@@ -33,6 +33,7 @@ This fixed order makes full traces reproducible by hand from the seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -49,14 +50,12 @@ from .core import (
     draw_estimator_coin,
     unchecked,
 )
-from .environments import ContextDistribution
-from .policies import ValueOracle
+from .environments import ContextDistribution, ContextSequence
+from .policies import PolicyClass, ValueOracle
 
-MODES = ("iid-sampler", "transductive")
-
-#: A source of future contexts: a distribution to sample from, or (in
-#: transductive mode) the full realized context sequence for rounds 1..T.
-ContextSource = Union[ContextDistribution, np.ndarray]
+#: A source of future contexts: a distribution to sample from (i.i.d.
+#: contexts), or the known context sequence of rounds 1..T (transductive).
+ContextSource = Union[ContextDistribution, ContextSequence]
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class LearnerConfig:
     K: int
     T: int
     scale: float
-    mode: str = "iid-sampler"
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -81,8 +79,6 @@ class LearnerConfig:
             raise ValueError(f"horizon must be >= 1, got T={self.T}")
         if not self.scale >= self.K:
             raise ValueError(f"scale must be >= K, got scale={self.scale}, K={self.K}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def tune_scale(num_actions: int, horizon: int, num_policies: int) -> float:
@@ -145,64 +141,53 @@ class OracleScores:
         return cls(minima=minima, gaps=(minima[1:] - minima[0]) / scale)
 
 
-def _checked_source(
-    config: LearnerConfig, context_source: ContextSource, num_contexts: int
-) -> ContextSource:
-    """The context source, checked against the mode and the class's U contexts.
+def _check_source(config: LearnerConfig, source: ContextSource) -> None:
+    """O(1): the source is one of the two kinds, and a sequence covers rounds 1..T."""
+    if isinstance(source, ContextSequence):
+        if source.ids.size != config.T:
+            raise ValueError(f"context sequence must have length {config.T}, got {source.ids.size}")
+    elif not isinstance(source, ContextDistribution):
+        raise TypeError(f"need a ContextDistribution or a ContextSequence, got {type(source).__name__}")
 
-    A transductive sequence comes back as int64.
-    """
-    if config.mode == "transductive":
-        if isinstance(context_source, ContextDistribution):
-            raise TypeError("transductive mode needs the realized context sequence, not a distribution")
-        seq = np.asarray(context_source, dtype=np.int64)
-        if seq.shape != (config.T,):
-            raise ValueError(f"transductive context sequence must have length {config.T}")
-        outside = seq[(seq < 0) | (seq >= num_contexts)]
-        if outside.size:
-            raise ValueError(
-                f"transductive context id {outside[0]} outside 0..{num_contexts - 1} "
-                f"of a {num_contexts}-context class"
-            )
-        return seq
-    if not isinstance(context_source, ContextDistribution):
-        raise TypeError("iid-sampler mode needs a ContextDistribution source")
-    if context_source.num_contexts != num_contexts:
-        raise ValueError(
-            f"context distribution has {context_source.num_contexts} contexts, "
-            f"the policy class has {num_contexts}"
-        )
-    return context_source
+
+def _check_inputs(config: LearnerConfig, source: ContextSource, policy_class: PolicyClass) -> None:
+    """Check once that the config's K and the source's U match the policy class."""
+    _check_source(config, source)
+    k, u = policy_class.num_actions, policy_class.num_contexts
+    if config.K != k:
+        raise ValueError(f"config has K={config.K} actions, the policy class has {k}")
+    if source.num_contexts != u:
+        kind = "sequence" if isinstance(source, ContextSequence) else "distribution"
+        raise ValueError(f"context {kind} has {source.num_contexts} contexts, the policy class has {u}")
 
 
 def sample_future(
     t: int,
     config: LearnerConfig,
-    context_source: ContextSource,
-    num_contexts: int,
+    source: ContextSource,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw the (U, K) integer sign sums of the perturbation for rounds ``t+1 .. T``.
 
-    Each remaining round has a context (i.i.d. from the sampler, or the
-    known one in transductive mode), a sign vector uniform on ``{-1, +1}^K``
-    and a magnitude that is ``scale`` with probability ``K/scale`` and 0
-    otherwise.  Entry (u, k) is the sum of sign k over the rounds at context
-    u whose magnitude hits.  Only that sum reaches the oracle, so it is drawn
-    directly in law (module docstring, steps 1-3): given the per-context hit
-    counts ``n_u``, the entries are independent ``2 * Binomial(n_u, 1/2) -
-    n_u``.  ``verify.row_wise_future`` draws the same matrix round by round
-    and is the law reference.
+    Each remaining round has a context (i.i.d. from a ``ContextDistribution``,
+    or the known one for a ``ContextSequence`` source), a sign vector uniform
+    on ``{-1, +1}^K`` and a magnitude that is ``scale`` with probability
+    ``K/scale`` and 0 otherwise.  Entry (u, k) is the sum of sign k over the
+    rounds at context u whose magnitude hits.  Only that sum reaches the
+    oracle, so it is drawn directly in law (module docstring, steps 1-3):
+    given the per-context hit counts ``n_u``, the entries are independent
+    ``2 * Binomial(n_u, 1/2) - n_u``.  ``verify.row_wise_future`` draws the
+    same matrix round by round and is the law reference.
     """
     if not 0 <= t <= config.T:
         raise ValueError(f"round {t} outside the horizon 0..{config.T}")
-    source = _checked_source(config, context_source, num_contexts)
+    _check_source(config, source)
     hit = config.K / config.scale
-    if config.mode == "transductive":
-        counts = rng.binomial(np.bincount(source[t:], minlength=num_contexts), hit)
+    if isinstance(source, ContextSequence):
+        counts = rng.binomial(np.bincount(source.ids[t:], minlength=source.num_contexts), hit)
     else:
         counts = rng.multinomial(rng.binomial(config.T - t, hit), source.probs)
-    heads = rng.binomial(counts[:, None], 0.5, size=(num_contexts, config.K))
+    heads = rng.binomial(counts[:, None], 0.5, size=(source.num_contexts, config.K))
     return 2 * heads - counts[:, None]
 
 
@@ -247,8 +232,13 @@ def oracle_scores(
     future (:func:`sample_future`).  Each answer is one oracle call on
     ``past`` plus the future loss matrix plus the single charge at the
     current context (absent for index 0); exactly K+1 calls total.  A
-    context id outside the class's 0..U-1 fails before the first call.
+    context id that is not an integer, or lies outside the class's 0..U-1,
+    fails before the first call.
     """
+    try:
+        operator.index(x_t)
+    except TypeError:
+        raise TypeError(f"context id {x_t} is not an integer") from None
     num_contexts = oracle.policy_class.num_contexts
     if not 0 <= x_t < num_contexts:
         raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
@@ -379,9 +369,10 @@ class RelaxationLearner:
         oracle: ValueOracle,
         context_source: ContextSource,
     ) -> None:
+        _check_inputs(config, context_source, oracle.policy_class)
         self.config = config
         self.oracle = oracle
-        self.context_source = _checked_source(config, context_source, oracle.policy_class.num_contexts)
+        self.context_source = context_source
         self.round = 1  # the next round to play
         self._past = np.zeros((oracle.policy_class.num_contexts, config.K))
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
@@ -397,16 +388,16 @@ class RelaxationLearner:
         ``cost_of`` reveals just the played action's cost, preserving bandit
         feedback.  The estimator coin uses the realized play distribution of
         this round (the one actually sampled from), so its success
-        probability stays at most 1.  In transductive mode ``x_t`` must be
-        the known context of this round.
+        probability stays at most 1.  For a ``ContextSequence`` source
+        ``x_t`` must be the known context of this round.
         """
         t = self.round
-        config = self.config
+        config, source = self.config, self.context_source
         if t > config.T:
             raise ValueError(f"round {t} beyond horizon {config.T}")
-        if config.mode == "transductive" and x_t != self.context_source[t - 1]:
-            raise ValueError(f"round {t} has the known context {self.context_source[t - 1]}, got {x_t}")
-        rho = sample_future(t, config, self.context_source, self.oracle.policy_class.num_contexts, rng)
+        if isinstance(source, ContextSequence) and x_t != source.ids[t - 1]:
+            raise ValueError(f"round {t} has the known context {source.ids[t - 1]}, got {x_t}")
+        rho = sample_future(t, config, source, rng)
         scores = oracle_scores(self._past, x_t, rho, config, self.oracle)
         dist = play_distribution(scores, config)
         action = dist.sample(rng)

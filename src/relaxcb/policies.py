@@ -88,7 +88,8 @@ def random_policy_class(
     """Draw a uniformly random policy table.
 
     Resamples until every action is played by some policy on some context,
-    so comparators are never degenerate; gives up after 100 tables.
+    so comparators are never degenerate; raises ``ValueError`` after 100
+    tables.
     """
     if num_policies * num_contexts < num_actions:
         raise ValueError("table too small to cover every action")
@@ -96,7 +97,7 @@ def random_policy_class(
         table = rng.integers(1, num_actions + 1, size=(num_policies, num_contexts))
         if np.unique(table).size == num_actions:
             return PolicyClass(table=table, num_actions=num_actions)
-    raise RuntimeError("no action-covering table found in 100 tries")
+    raise ValueError("no action-covering table found in 100 tries")
 
 
 def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:

@@ -19,12 +19,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import ActionDistribution, HistoryRecord, build_estimate, draw_estimator_coin, sample_index
-from .environments import ContextDistribution
+from .environments import ContextDistribution, ContextSequence
 from .learner import (
     ContextSource,
     LearnerConfig,
     OracleScores,
-    _checked_source,
+    _check_inputs,
     inner_sup_values,
     oracle_scores,
     past_loss_matrix,
@@ -219,27 +219,23 @@ def rademacher_bound_check(
 def row_wise_future(
     t: int,
     config: LearnerConfig,
-    context_source: ContextSource,
-    num_contexts: int,
+    source: ContextSource,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """The law reference for ``learner.sample_future``: its matrix, drawn round by round.
 
-    For each of the rounds ``t+1 .. T`` draws a context (i.i.d. from the
-    distribution, or the known one in transductive mode), a sign vector
-    uniform on ``{-1, +1}^K`` and a hit with probability ``K/scale``, then
-    sums the hit rounds' sign vectors by context into the (U, K) integer
-    matrix.  This costs O((T - t) * K) per call, where the learner's
-    in-law draw costs O(U * K).
+    For each of the rounds ``t+1 .. T`` draws a context (i.i.d. from a
+    ``ContextDistribution``, or the known one of a ``ContextSequence``), a
+    sign vector uniform on ``{-1, +1}^K`` and a hit with probability
+    ``K/scale``, then sums the hit rounds' sign vectors by context into the
+    (U, K) integer matrix.  This costs O((T - t) * K) per call, where the
+    learner's in-law draw costs O(U * K).
     """
     n = config.T - t
-    if config.mode == "transductive":
-        contexts = np.asarray(context_source, dtype=np.int64)[t:]
-    else:
-        contexts = context_source.sample(rng, size=n)
+    contexts = source.ids[t:] if isinstance(source, ContextSequence) else source.sample(rng, size=n)
     signs = rng.integers(0, 2, size=(n, config.K)) * 2 - 1
     hit = rng.random(n) < config.K / config.scale
-    sums = np.zeros((num_contexts, config.K), dtype=np.int64)
+    sums = np.zeros((source.num_contexts, config.K), dtype=np.int64)
     np.add.at(sums, contexts[hit], signs[hit])
     return sums
 
@@ -247,14 +243,13 @@ def row_wise_future(
 def row_wise_future_pmf(
     t: int,
     config: LearnerConfig,
-    context_source: ContextSource,
-    num_contexts: int,
+    source: ContextSource,
 ) -> dict[tuple[int, ...], float]:
     """Exact law of :func:`row_wise_future`'s matrix, for small games.
 
     Each remaining round adds nothing with probability ``1 - K/scale``, or
     the sign vector s at context u with probability ``(K/scale) * p_u *
-    2**-K`` (``p_u`` is 1 at the known context in transductive mode).  The
+    2**-K`` (``p_u`` is 1 at the known context of a ``ContextSequence``).  The
     law of the sum is that per-round law convolved over the remaining
     rounds.  Keys are the matrices flattened in row-major order; only
     outcomes of positive probability appear.  The support grows like
@@ -263,13 +258,11 @@ def row_wise_future_pmf(
     k = config.K
     hit = k / config.scale
     signs = list(itertools.product((-1, 1), repeat=k))
-    zero = (0,) * (num_contexts * k)
+    zero = (0,) * (source.num_contexts * k)
     pmf = {zero: 1.0}
     for j in range(t, config.T):
-        if config.mode == "transductive":
-            weights = {int(context_source[j]): 1.0}
-        else:
-            weights = dict(enumerate(context_source.probs.tolist()))
+        known = isinstance(source, ContextSequence)
+        weights = {int(source.ids[j]): 1.0} if known else dict(enumerate(source.probs.tolist()))
         steps = [(zero, 1.0 - hit)]
         for u, w in weights.items():
             for s in signs:
@@ -342,8 +335,10 @@ def admissibility_check(
     t = len(history) + 1
     if t > config.T:
         raise ValueError("history already spans the whole horizon")
+    if not isinstance(context_dist, ContextDistribution):
+        raise TypeError("admissibility_check needs a ContextDistribution to average the current context over")
+    _check_inputs(config, context_dist, policy_class)
     num_contexts = policy_class.num_contexts
-    _checked_source(config, context_dist, num_contexts)
     oracle = ValueOracle(policy_class)
     k, scale = config.K, config.scale
     grid = cost_grid(k, mesh)
@@ -352,11 +347,11 @@ def admissibility_check(
     rhs_samples = np.empty(draws)
     lhs_values = np.empty((draws, num_contexts, grid.shape[0]))
     for j in range(draws):
-        rho_prev = sample_future(t - 1, config, context_dist, num_contexts, rng)
+        rho_prev = sample_future(t - 1, config, context_dist, rng)
         rhs_samples[j] = relaxation_value(past, t - 1, rho_prev, config, oracle)
 
-        rho_play = sample_future(t, config, context_dist, num_contexts, rng)
-        rho_next = sample_future(t, config, context_dist, num_contexts, rng)
+        rho_play = sample_future(t, config, context_dist, rng)
+        rho_next = sample_future(t, config, context_dist, rng)
         for x in range(num_contexts):
             scores = oracle_scores(past, x, rho_play, config, oracle)
             dist = play_distribution(scores, config)

@@ -116,6 +116,19 @@ class TestRunCommand:
         assert code == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    def test_uncoverable_random_table(self, config_file, tmp_path, capsys):
+        # N*U = K passes validation, but seed 37 draws no covering 1x5 table in 100 tries
+        config = json.loads(config_file.read_text())
+        config.update({"K": 5, "L": 6, "policyClass": {"type": "table", "seed": 37, "N": 1, "U": 5, "K": 5}})
+        config["environment"]["context"]["U"] = 5
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            "config error: policyClass.seed: no action-covering table found in 100 tries; try another seed"
+        )
+
     def test_negative_context_probability_message(self, config_file, tmp_path, capsys):
         config = json.loads(config_file.read_text())
         config["environment"]["context"]["probs"] = [0.5, 0.6, -0.1]

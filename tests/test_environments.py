@@ -1,10 +1,11 @@
-"""Context distributions and adversary schedule construction."""
+"""Context sources and adversary schedule construction."""
 
 import numpy as np
 import pytest
 
 from relaxcb import (
     ContextDistribution,
+    ContextSequence,
     CostSchedule,
     PolicyClass,
     best_policy_loss,
@@ -43,6 +44,32 @@ class TestContextDistribution:
         rng = np.random.default_rng(3)
         b = [dist.sample(rng) for _ in range(5)]
         np.testing.assert_array_equal(a, b)
+
+
+class TestContextSequence:
+    """A known context sequence is checked once, when it is built."""
+
+    def test_stores_a_read_only_int64_copy(self):
+        raw = np.array([2, 0, 1], dtype=np.int32)
+        seq = ContextSequence(raw, 3)
+        assert seq.ids.dtype == np.int64 and seq.ids.tolist() == [2, 0, 1]
+        assert not seq.ids.flags.writeable
+        raw[0] = 1
+        assert seq.ids[0] == 2
+        assert ContextSequence([1, 1], 2).ids.tolist() == [1, 1]
+        assert len({seq, ContextSequence(raw, 3)}) == 2  # hashable, compared by identity
+
+    def test_rejects_non_integer_ids(self):
+        # np.asarray(..., dtype=np.int64) would truncate these to [0, 1, 0]
+        with pytest.raises(ValueError, match="integer array, got float64"):
+            ContextSequence(np.array([0.9, 1.7, 0.2]), 2)
+        with pytest.raises(ValueError, match="integer array, got bool"):
+            ContextSequence(np.array([True, False]), 2)
+
+    @pytest.mark.parametrize("ids", [[], [[0, 1]], 0], ids=["empty", "2-d", "scalar"])
+    def test_rejects_other_shapes(self, ids):
+        with pytest.raises(ValueError, match="non-empty 1-d integer array"):
+            ContextSequence(np.array(ids, dtype=np.int64), 2)
 
 
 class TestCostSchedule:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from relaxcb import ContextDistribution, LearnerConfig, sample_future, tune_scale
+from relaxcb import ContextDistribution, ContextSequence, LearnerConfig, sample_future, tune_scale
 from relaxcb.verify import row_wise_future, row_wise_future_pmf
 
 
@@ -30,11 +30,11 @@ def binomial_pmf(k, n, p):
     return math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
 
 
-def count_law(t, config, source, num_contexts):
+def count_law(t, config, source):
     """(per-context hit counts, probability) pairs of the contract's steps 1-2."""
-    n, hit = config.T - t, config.K / config.scale
-    if config.mode == "transductive":
-        suffix = [int(c) for c in source[t:]]
+    n, hit, num_contexts = config.T - t, config.K / config.scale, source.num_contexts
+    if isinstance(source, ContextSequence):
+        suffix = [int(c) for c in source.ids[t:]]
         m = [suffix.count(x) for x in range(num_contexts)]
         for counts in itertools.product(*(range(mu + 1) for mu in m)):
             yield counts, math.prod(binomial_pmf(c, mu, hit) for c, mu in zip(counts, m))
@@ -48,10 +48,10 @@ def count_law(t, config, source, num_contexts):
             yield counts, binomial_pmf(hits, n, hit) * ways * math.prod(p**c for p, c in zip(probs, counts))
 
 
-def contract_pmf(t, config, source, num_contexts):
+def contract_pmf(t, config, source):
     """Closed-form law of ``sample_future``'s matrix, keyed like ``row_wise_future_pmf``."""
     pmf = defaultdict(float)
-    for counts, prob in count_law(t, config, source, num_contexts):
+    for counts, prob in count_law(t, config, source):
         if prob == 0.0:
             continue
         # each entry (u, k) is 2 * heads - n_u with heads ~ Binomial(n_u, 1/2)
@@ -65,25 +65,25 @@ def contract_pmf(t, config, source, num_contexts):
     return dict(pmf)
 
 
-def make_source(mode, num_contexts, horizon):
-    if mode == "transductive":
-        return np.array([(3 * j + 1) % num_contexts for j in range(horizon)])
+def make_source(setting, num_contexts, horizon):
+    if setting == "transductive":
+        return ContextSequence(np.array([(3 * j + 1) % num_contexts for j in range(horizon)]), num_contexts)
     raw = np.arange(1.0, num_contexts + 1.0)
     return ContextDistribution(raw / raw.sum())
 
 
-@pytest.mark.parametrize("mode", ["iid-sampler", "transductive"])
+@pytest.mark.parametrize("setting", ["iid-sampler", "transductive"])
 @pytest.mark.parametrize("num_contexts", [1, 2, 3])
 @pytest.mark.parametrize("k", [2, 3])
-def test_exact_pmf_matches_closed_form(mode, num_contexts, k):
+def test_exact_pmf_matches_closed_form(setting, num_contexts, k):
     horizon = 4
-    source = make_source(mode, num_contexts, horizon)
+    source = make_source(setting, num_contexts, horizon)
     for scale in (float(k), 1.6 * k):
-        config = LearnerConfig(K=k, T=horizon, scale=scale, mode=mode)
+        config = LearnerConfig(K=k, T=horizon, scale=scale)
         for n in range(horizon + 1):
             t = horizon - n
-            exact = row_wise_future_pmf(t, config, source, num_contexts)
-            closed = contract_pmf(t, config, source, num_contexts)
+            exact = row_wise_future_pmf(t, config, source)
+            closed = contract_pmf(t, config, source)
             assert set(exact) == set(closed)
             assert max(abs(exact[key] - closed[key]) for key in exact) <= 1e-12
             assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
@@ -116,16 +116,16 @@ ALPHA = 1e-3
 
 
 @pytest.mark.parametrize("sampler", [sample_future, row_wise_future], ids=["in-law", "row-wise"])
-@pytest.mark.parametrize("mode", ["iid-sampler", "transductive"])
-def test_chi_square_against_exact_pmf(sampler, mode):
+@pytest.mark.parametrize("setting", ["iid-sampler", "transductive"])
+def test_chi_square_against_exact_pmf(sampler, setting):
     # n=3 remaining rounds, U=2, K=2, hit probability 2/3: 20 000 draws,
     # rejected when the statistic exceeds the chi-square quantile at 1 - ALPHA
     num_contexts, horizon, t = 2, 5, 2
-    config = LearnerConfig(K=2, T=horizon, scale=3.0, mode=mode)
-    source = make_source(mode, num_contexts, horizon)
-    pmf = row_wise_future_pmf(t, config, source, num_contexts)
+    config = LearnerConfig(K=2, T=horizon, scale=3.0)
+    source = make_source(setting, num_contexts, horizon)
+    pmf = row_wise_future_pmf(t, config, source)
     rng = np.random.default_rng(np.random.SeedSequence(2026))
-    draws = [tuple(sampler(t, config, source, num_contexts, rng).ravel().tolist()) for _ in range(20_000)]
+    draws = [tuple(sampler(t, config, source, rng).ravel().tolist()) for _ in range(20_000)]
     stat, df = chi_square_statistic(draws, pmf)
     assert df >= 10
     assert stat <= chi2.ppf(1.0 - ALPHA, df), f"chi-square {stat:.1f} on {df} degrees of freedom"
@@ -141,21 +141,21 @@ def moments(samples):
     return mean, var, var / n, np.maximum(fourth - var**2, 0.0) / n
 
 
-@pytest.mark.parametrize("mode", ["iid-sampler", "transductive"])
-def test_two_sample_moments_at_acceptance_sizes(mode):
+@pytest.mark.parametrize("setting", ["iid-sampler", "transductive"])
+def test_two_sample_moments_at_acceptance_sizes(setting):
     # K=5, U=10, n=1000 remaining rounds of T=2000, scale 13.67: each of the
     # 50 entries' mean and variance, 20 000 in-law draws vs 4000 row-wise
     # draws, within 4.5 sigma.  With 100 roughly normal statistics a correct
     # sampler fails with probability about 100 * 6.8e-6 < 1e-3.
     k, num_contexts, horizon, t = 5, 10, 2000, 1000
-    config = LearnerConfig(K=k, T=horizon, scale=tune_scale(k, horizon, 50), mode=mode)
+    config = LearnerConfig(K=k, T=horizon, scale=tune_scale(k, horizon, 50))
     rng = np.random.default_rng(np.random.SeedSequence(2027))
-    if mode == "transductive":
-        source = rng.integers(0, num_contexts, size=horizon)
+    if setting == "transductive":
+        source = ContextSequence(rng.integers(0, num_contexts, size=horizon), num_contexts)
     else:
         source = ContextDistribution.uniform(num_contexts)
-    in_law = np.array([sample_future(t, config, source, num_contexts, rng) for _ in range(20_000)], float)
-    reference = np.array([row_wise_future(t, config, source, num_contexts, rng) for _ in range(4000)], float)
+    in_law = np.array([sample_future(t, config, source, rng) for _ in range(20_000)], float)
+    reference = np.array([row_wise_future(t, config, source, rng) for _ in range(4000)], float)
     mean_a, var_a, se_mean_a, se_var_a = moments(in_law)
     mean_b, var_b, se_mean_b, se_var_b = moments(reference)
     z_mean = np.abs(mean_a - mean_b) / np.sqrt(se_mean_a + se_mean_b)

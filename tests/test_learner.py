@@ -8,6 +8,7 @@ import pytest
 from relaxcb import (
     ActionDistribution,
     ContextDistribution,
+    ContextSequence,
     EstimatedCost,
     HistoryRecord,
     LearnerConfig,
@@ -39,8 +40,6 @@ class TestLearnerConfig:
             LearnerConfig(K=3, T=10, scale=2.0)
         with pytest.raises(ValueError, match="actions"):
             LearnerConfig(K=1, T=10, scale=4.0)
-        with pytest.raises(ValueError, match="mode"):
-            LearnerConfig(K=2, T=10, scale=4.0, mode="weird")
 
 
 class TestTuneScale:
@@ -67,19 +66,19 @@ class TestTuneScale:
 
 
 class TestSampleFuture:
-    def config(self, k=2, t=10, scale=4.0, mode="iid-sampler"):
-        return LearnerConfig(K=k, T=t, scale=scale, mode=mode)
+    def config(self, k=2, t=10, scale=4.0):
+        return LearnerConfig(K=k, T=t, scale=scale)
 
     def test_empty_at_horizon(self):
         rng = np.random.default_rng(0)
-        draw = sample_future(10, self.config(), ContextDistribution.uniform(3), 3, rng)
+        draw = sample_future(10, self.config(), ContextDistribution.uniform(3), rng)
         assert draw.shape == (3, 2)
         assert not draw.any()
 
     def test_beyond_horizon_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="horizon"):
-            sample_future(11, self.config(), ContextDistribution.uniform(3), 3, rng)
+            sample_future(11, self.config(), ContextDistribution.uniform(3), rng)
 
     def test_scale_equal_actions_makes_all_magnitudes_hit(self):
         # hit probability K/scale = 1: each of the 9 remaining rounds adds a
@@ -87,7 +86,7 @@ class TestSampleFuture:
         rng = np.random.default_rng(1)
         cfg = self.config(t=9, scale=2.0)
         for _ in range(200):
-            draw = sample_future(0, cfg, ContextDistribution.uniform(1), 1, rng)
+            draw = sample_future(0, cfg, ContextDistribution.uniform(1), rng)
             assert np.all(draw % 2 == 1) and np.all(np.abs(draw) <= 9)
 
     def test_magnitude_frequency(self):
@@ -97,7 +96,7 @@ class TestSampleFuture:
         cfg = LearnerConfig(K=2, T=1, scale=4.0)
         dist = ContextDistribution.uniform(2)
         draws = 20_000
-        hits = sum(sample_future(0, cfg, dist, 2, rng).any() for _ in range(draws))
+        hits = sum(sample_future(0, cfg, dist, rng).any() for _ in range(draws))
         p = 2.0 / 4.0
         assert abs(hits / draws - p) <= 3 * math.sqrt(p * (1 - p) / draws)
 
@@ -107,7 +106,7 @@ class TestSampleFuture:
         cfg = LearnerConfig(K=3, T=1, scale=3.0)
         draws = 20_000
         dist = ContextDistribution.uniform(2)
-        signs = np.array([sample_future(0, cfg, dist, 2, rng).sum(axis=0) for _ in range(draws)])
+        signs = np.array([sample_future(0, cfg, dist, rng).sum(axis=0) for _ in range(draws)])
         assert np.all(np.abs(signs) == 1)
         freq = np.mean(signs == 1, axis=0)
         assert np.all(np.abs(freq - 0.5) <= 3 * math.sqrt(0.25 / draws))
@@ -117,24 +116,24 @@ class TestSampleFuture:
         # +-1 signs: parity and size follow the known future, and context 3,
         # absent from the suffix, stays zero
         rng = np.random.default_rng(4)
-        cfg = self.config(scale=2.0, mode="transductive")
+        cfg = self.config(scale=2.0)
         seq = np.array([3, 3, 3, 3, 0, 1, 1, 2, 2, 2])
         counts = np.bincount(seq[4:], minlength=4)
         for _ in range(100):
-            draw = sample_future(4, cfg, seq, 4, rng)
+            draw = sample_future(4, cfg, ContextSequence(seq, 4), rng)
             assert np.all(np.abs(draw) <= counts[:, None])
             assert np.all((draw - counts[:, None]) % 2 == 0)
             assert not draw[3].any()
 
     def test_transductive_needs_full_sequence(self):
         rng = np.random.default_rng(5)
-        cfg = self.config(mode="transductive")
+        cfg = self.config()
         with pytest.raises(ValueError, match="length"):
-            sample_future(4, cfg, np.zeros(7, dtype=int), 1, rng)
+            sample_future(4, cfg, ContextSequence(np.zeros(7, dtype=int), 1), rng)
 
 
 class TestContextSourceSize:
-    """Every entry point checks the context source against the class's U contexts."""
+    """Every entry point checks the context source's U and the config's K against the class."""
 
     pc = PolicyClass(table=np.array([[1, 2], [2, 1], [1, 1], [2, 2]]), num_actions=2)
     cfg = LearnerConfig(K=2, T=3, scale=3.0)
@@ -146,31 +145,48 @@ class TestContextSourceSize:
         message = f"context distribution has {u} contexts, the policy class has 2"
         with pytest.raises(ValueError, match=message):
             RelaxationLearner(self.cfg, ValueOracle(self.pc), dist)
-        with pytest.raises(ValueError, match=message):
-            sample_future(0, self.cfg, dist, 2, rng)
+        # sample_future draws a (u, K) matrix; the scoring rejects it before any call
+        oracle = ValueOracle(self.pc)
+        with pytest.raises(ValueError, match="shape"):
+            oracle_scores(np.zeros((2, 2)), 0, sample_future(0, self.cfg, dist, rng), self.cfg, oracle)
+        assert oracle.stats.calls == 0
         with pytest.raises(ValueError, match=message):
             admissibility_check(self.pc, self.cfg, dist, [], 5, rng)
 
+    @pytest.mark.parametrize("u", [3, 1])
+    def test_sequence_size_mismatch(self, u):
+        seq = ContextSequence(np.zeros(3, dtype=int), u)
+        with pytest.raises(ValueError, match=f"context sequence has {u} contexts, the policy class has 2"):
+            RelaxationLearner(self.cfg, ValueOracle(self.pc), seq)
+
     def test_transductive_needs_a_sequence(self):
-        cfg = LearnerConfig(K=2, T=3, scale=3.0, mode="transductive")
-        dist = ContextDistribution.uniform(2)
+        # a bare id array is neither source: the known sequence must come as a ContextSequence
+        seq = np.array([0, 1, 1])
         rng = np.random.default_rng(0)
-        with pytest.raises(TypeError, match="realized context sequence"):
-            RelaxationLearner(cfg, ValueOracle(self.pc), dist)
-        with pytest.raises(TypeError, match="realized context sequence"):
-            sample_future(0, cfg, dist, 2, rng)
-        with pytest.raises(TypeError, match="realized context sequence"):
-            admissibility_check(self.pc, cfg, dist, [], 5, rng)
+        with pytest.raises(TypeError, match="ContextDistribution or a ContextSequence, got ndarray"):
+            RelaxationLearner(self.cfg, ValueOracle(self.pc), seq)
+        with pytest.raises(TypeError, match="ContextDistribution or a ContextSequence, got ndarray"):
+            sample_future(0, self.cfg, seq, rng)
+        # the one-step check averages over the current context, so a known sequence is refused
+        with pytest.raises(TypeError, match="needs a ContextDistribution"):
+            admissibility_check(self.pc, self.cfg, ContextSequence(seq, 2), [], 5, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_transductive_id_out_of_range(self, bad):
-        cfg = LearnerConfig(K=2, T=3, scale=3.0, mode="transductive")
-        seq = np.array([0, bad, 1])
-        message = f"context id {bad} outside 0..1 of a 2-context class"
+        # checked once, when the sequence is built, before a learner or a draw can see it
+        with pytest.raises(ValueError, match=f"context id {bad} outside 0..1 of a 2-context class"):
+            ContextSequence(np.array([0, bad, 1]), 2)
+
+    def test_action_count_mismatch(self):
+        cfg = LearnerConfig(K=3, T=3, scale=3.0)
+        oracle = ValueOracle(self.pc)
+        message = "config has K=3 actions, the policy class has 2"
         with pytest.raises(ValueError, match=message):
-            RelaxationLearner(cfg, ValueOracle(self.pc), seq)
+            RelaxationLearner(cfg, oracle, ContextDistribution.uniform(2))
         with pytest.raises(ValueError, match=message):
-            sample_future(2, cfg, seq, 2, np.random.default_rng(0))
+            admissibility_check(self.pc, cfg, ContextDistribution.uniform(2), [], 5, np.random.default_rng(0))
+        assert oracle.stats.calls == 0
 
 
 def action_of(policy_class, policy, context):
@@ -205,7 +221,7 @@ class TestOracleScores:
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=1, scale=2.0)
         rng = np.random.default_rng(0)
-        rho = sample_future(1, cfg, ContextDistribution.uniform(1), 1, rng)
+        rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
         scores = oracle_scores(np.zeros((1, 2)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, 0.0)
         np.testing.assert_allclose(scores.gaps, 0.0)
@@ -214,7 +230,7 @@ class TestOracleScores:
         pc = PolicyClass(table=np.array([[1]]), num_actions=3)
         cfg = LearnerConfig(K=3, T=1, scale=5.0)
         rng = np.random.default_rng(0)
-        rho = sample_future(1, cfg, ContextDistribution.uniform(1), 1, rng)
+        rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
         scores = oracle_scores(np.zeros((1, 3)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, [0.0, 5.0, 0.0, 0.0])
         np.testing.assert_allclose(scores.gaps, [1.0, 0.0, 0.0])
@@ -224,7 +240,7 @@ class TestOracleScores:
         pc = random_policy_class(6, 3, 4, rng)
         cfg = LearnerConfig(K=4, T=8, scale=6.0)
         oracle = ValueOracle(pc)
-        rho = sample_future(1, cfg, ContextDistribution.uniform(3), 3, rng)
+        rho = sample_future(1, cfg, ContextDistribution.uniform(3), rng)
         oracle_scores(np.zeros((3, 4)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 5
 
@@ -249,7 +265,7 @@ class TestOracleScores:
                         estimate=EstimatedCost(scale, action if coin else 0),
                     )
                 )
-            rho = sample_future(t, cfg, ContextDistribution.uniform(u), u, rng)
+            rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             x_t = int(rng.integers(u))
             scores = oracle_scores(past_loss_matrix(history, u, k), x_t, rho, cfg, ValueOracle(pc))
             for i in range(k + 1):
@@ -403,7 +419,7 @@ class TestCombinedCheck:
         cfg = LearnerConfig(K=5, T=40, scale=7.5)
         past = rng.integers(0, 3, size=(10, 5)) * cfg.scale
         for t in range(1, 41, 7):
-            rho = sample_future(t, cfg, ContextDistribution.uniform(10), 10, rng)
+            rho = sample_future(t, cfg, ContextDistribution.uniform(10), rng)
             scores = oracle_scores(past, int(rng.integers(10)), rho, cfg, ValueOracle(pc))
             expected = OracleScores.from_minima(scores.minima, cfg.scale)
             assert np.array_equal(scores.gaps, expected.gaps)
@@ -435,7 +451,7 @@ class TestRelaxationValue:
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
         history = [make_record(0, EstimatedCost(4.0, 0), 2)] * 3
-        rho = sample_future(3, cfg, ContextDistribution.uniform(1), 1, np.random.default_rng(0))
+        rho = sample_future(3, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
         past = past_loss_matrix(history, 1, 2)
         assert relaxation_value(past, 3, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
 
@@ -461,7 +477,7 @@ class TestRelaxationValue:
                 coin = int(rng.integers(2))
                 est = EstimatedCost(scale, action if coin else 0)
                 history.append(make_record(int(rng.integers(u)), est, k, action))
-            rho = sample_future(t, cfg, ContextDistribution.uniform(u), u, rng)
+            rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             best = math.inf
             for p in range(n):
                 total = 0.0
@@ -479,7 +495,7 @@ class TestRelaxationValue:
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=2, scale=4.0)
         oracle = ValueOracle(pc)
-        rho = sample_future(0, cfg, ContextDistribution.uniform(1), 1, np.random.default_rng(3))
+        rho = sample_future(0, cfg, ContextDistribution.uniform(1), np.random.default_rng(3))
         relaxation_value(np.zeros((1, 2)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 1
 
@@ -490,7 +506,7 @@ class TestPastMatrix:
     def test_wrong_shape_rejected(self):
         pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
-        rho = sample_future(1, cfg, ContextDistribution.uniform(2), 2, np.random.default_rng(0))
+        rho = sample_future(1, cfg, ContextDistribution.uniform(2), np.random.default_rng(0))
         oracle = ValueOracle(pc)
         for bad in (np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(4)):
             for past, draw in ((bad, rho), (np.zeros((2, 2)), bad)):
@@ -504,7 +520,7 @@ class TestPastMatrix:
         # a draw for rounds t+1..T with t outside 0..T covers more than the horizon
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
-        rho = sample_future(0, cfg, ContextDistribution.uniform(1), 1, np.random.default_rng(0))
+        rho = sample_future(0, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
         oracle = ValueOracle(pc)
         for t in (-1, 4):
             with pytest.raises(ValueError, match="horizon"):
@@ -528,7 +544,7 @@ class TestPastMatrix:
         assert past.any()
         oracle = ValueOracle(pc)
         t = len(records) + 1
-        rho = sample_future(t, cfg, dist, u, rng)
+        rho = sample_future(t, cfg, dist, rng)
         for x in range(u):
             for a in range(1, k + 1):
                 charged = past.copy()
@@ -605,11 +621,23 @@ class TestStep:
         assert oracle.stats.calls == 0
         assert learner.round == 1
 
-    def test_transductive_context_must_be_the_known_one(self):
-        pc, _, _ = self.setup_instance(u=3)
-        cfg = LearnerConfig(K=2, T=3, scale=3.0, mode="transductive")
+    @pytest.mark.parametrize("x_t", [1.0, np.float64(1.0)], ids=["float", "numpy-float"])
+    def test_non_integer_context_rejected_before_any_call(self, x_t):
+        pc, cfg, dist = self.setup_instance(u=3)
         oracle = ValueOracle(pc)
-        learner = RelaxationLearner(cfg, oracle, np.array([0, 2, 1]))
+        learner = RelaxationLearner(cfg, oracle, dist)
+        with pytest.raises(TypeError, match="context id 1.0 is not an integer"):
+            learner.play_round(x_t, lambda a: 0.5, np.random.default_rng(0))
+        assert oracle.stats.calls == 0
+        assert learner.round == 1
+        # numpy integer ids are integers
+        learner.play_round(np.int64(1), lambda a: 0.5, np.random.default_rng(0))
+        assert oracle.stats.calls == cfg.K + 1
+
+    def test_transductive_context_must_be_the_known_one(self):
+        pc, cfg, _ = self.setup_instance(u=3)
+        oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, ContextSequence(np.array([0, 2, 1]), 3))
         with pytest.raises(ValueError, match="round 1 has the known context 0, got 2"):
             learner.play_round(2, lambda a: 0.5, np.random.default_rng(0))
         assert oracle.stats.calls == 0
@@ -623,9 +651,10 @@ class TestGoldenTrace:
 
     The reference consumes the generator exactly as the randomness contract
     documents (hits, per-context counts, heads in row-major (u, k) order,
-    action, coin) and computes every quantity by direct enumeration over
-    the policy table, independently of the library's aggregation, oracle
-    and water-fill code.
+    action, coin; for a known context sequence, binomial thinning of each
+    context's suffix count replaces hits and counts) and computes every
+    quantity by direct enumeration over the policy table, independently of
+    the library's aggregation, oracle and water-fill code.
     """
 
     TABLE = np.array([[1, 1], [2, 2], [1, 2], [2, 1]])
@@ -634,17 +663,22 @@ class TestGoldenTrace:
     SCALE = 3.0
     SEED = 2024
 
-    def reference_trace(self):
+    def reference_trace(self, transductive=False, rng=None):
         k, u, horizon, scale = 2, 2, 3, self.SCALE
         table = self.TABLE
-        rng = np.random.default_rng(self.SEED)
+        rng = np.random.default_rng(self.SEED) if rng is None else rng
         probs = np.full(u, 0.5)  # uniform context distribution over U=2
         past = np.zeros((4,))  # per-policy cumulative estimated loss
         trace = []
         for t, x_t in enumerate(self.CONTEXTS, start=1):
             n = horizon - t
-            hits = rng.binomial(n, k / scale)
-            counts = rng.multinomial(hits, probs)
+            if transductive:
+                # thin each context's count in the known suffix, context by context
+                suffix = self.CONTEXTS[t:]
+                counts = [rng.binomial(suffix.count(x), k / scale) for x in range(u)]
+            else:
+                hits = rng.binomial(n, k / scale)
+                counts = rng.multinomial(hits, probs)
             # one scalar draw per entry, row by row: heads of action a at context x
             sign_sums = np.empty((u, k))
             for x in range(u):
@@ -680,25 +714,25 @@ class TestGoldenTrace:
             trace.append((play.copy(), action, coin))
         return trace
 
-    @pytest.mark.parametrize("mode", ["iid-sampler", "transductive"])
-    def test_future_draw_matches_reference(self, mode):
+    @pytest.mark.parametrize("setting", ["iid-sampler", "transductive"])
+    def test_future_draw_matches_reference(self, setting):
         # steps 1-3 of the contract, one scalar draw at a time, on larger
         # shapes than the trace: same matrix, and the stream is left at the
         # same point
         k, u, horizon, scale = 3, 4, 40, 4.5
-        cfg = LearnerConfig(K=k, T=horizon, scale=scale, mode=mode)
+        cfg = LearnerConfig(K=k, T=horizon, scale=scale)
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         seq = np.random.default_rng(7).integers(0, u, size=horizon)
-        source = seq if mode == "transductive" else ContextDistribution(probs)
+        source = ContextSequence(seq, u) if setting == "transductive" else ContextDistribution(probs)
         for t in (0, 1, 17, 39, 40):
             ref = np.random.default_rng(self.SEED + t)
-            if mode == "transductive":
+            if setting == "transductive":
                 counts = [ref.binomial(int(np.sum(seq[t:] == x)), k / scale) for x in range(u)]
             else:
                 counts = ref.multinomial(ref.binomial(horizon - t, k / scale), probs).tolist()
             expected = [[2 * ref.binomial(counts[x], 0.5) - counts[x] for _ in range(k)] for x in range(u)]
             rng = np.random.default_rng(self.SEED + t)
-            assert sample_future(t, cfg, source, u, rng).tolist() == expected
+            assert sample_future(t, cfg, source, rng).tolist() == expected
             assert rng.random() == ref.random()
 
     def test_matches_reference(self):
@@ -714,6 +748,23 @@ class TestGoldenTrace:
             np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
             assert rec.played_action == action
             assert (rec.estimate.coordinate != 0) == bool(coin)
+
+    def test_transductive_matches_reference(self):
+        pc = PolicyClass(table=self.TABLE, num_actions=2)
+        cfg = LearnerConfig(K=2, T=3, scale=self.SCALE)
+        rng = np.random.default_rng(self.SEED)
+        learner = RelaxationLearner(cfg, ValueOracle(pc), ContextSequence(np.array(self.CONTEXTS), 2))
+        ref_rng = np.random.default_rng(self.SEED)
+        reference = self.reference_trace(transductive=True, rng=ref_rng)
+        # frozen from the reference for this seed
+        assert [(action, coin) for _, action, coin in reference] == [(2, 1), (1, 0), (1, 1)]
+        for t, x_t in enumerate(self.CONTEXTS, start=1):
+            rec = learner.play_round(x_t, lambda a: self.COSTS[t - 1, a - 1], rng)
+            play, action, coin = reference[t - 1]
+            np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
+            assert rec.played_action == action
+            assert (rec.estimate.coordinate != 0) == bool(coin)
+        assert rng.random() == ref_rng.random()  # the stream is left at the same point
 
     def test_frozen_first_round(self):
         # froze the reference's round-1 outputs for this seed
