@@ -40,14 +40,7 @@ from .environments import (
     CostSchedule,
     make_adversary,
 )
-from .baselines import (
-    Exp4State,
-    exp4_distribution,
-    exp4_step,
-    exp4_update,
-    make_exp4_state,
-    uniform_step,
-)
+from .baselines import Exp4Learner, UniformLearner
 from .harness import (
     ConfigError,
     ExperimentResult,
@@ -78,7 +71,7 @@ __all__ = [
     "ContextSequence",
     "CostSchedule",
     "EstimatedCost",
-    "Exp4State",
+    "Exp4Learner",
     "ExperimentResult",
     "HistoryRecord",
     "LearnerConfig",
@@ -86,6 +79,7 @@ __all__ = [
     "PolicyClass",
     "RelaxationLearner",
     "RunResult",
+    "UniformLearner",
     "ValueOracle",
     "admissibility_check",
     "best_policy_loss",
@@ -94,14 +88,10 @@ __all__ = [
     "build_estimate",
     "draw_estimator_coin",
     "emit_outputs",
-    "exp4_distribution",
-    "exp4_step",
-    "exp4_update",
     "in_tuning_regime",
     "inner_sup_value",
     "inner_sup_values",
     "make_adversary",
-    "make_exp4_state",
     "oracle_scores",
     "play_distribution",
     "rademacher_bound_check",
@@ -114,7 +104,6 @@ __all__ = [
     "theoretical_bound",
     "tune_scale",
     "unbiasedness_check",
-    "uniform_step",
     "validate_config",
     "water_fill",
 ]

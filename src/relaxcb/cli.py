@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from .environments import ContextDistribution
-from .harness import ConfigError, emit_outputs, run_experiment
+from .harness import LEARNERS, ConfigError, emit_outputs, run_experiment
 from .learner import LearnerConfig, OracleScores, inner_sup_value, water_fill
 from .policies import random_policy_class
 from .verify import admissibility_check, brute_force_minimax, rademacher_bound_check, unbiasedness_check
@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", required=True, help="output directory for CSV/JSON")
     run_p.add_argument("--reps", type=int, default=None, help="override replication count")
     run_p.add_argument("--seed", type=int, default=None, help="override master seed")
-    run_p.add_argument("--learner", choices=("relax", "exp4", "uniform"), default=None)
+    run_p.add_argument("--learner", choices=LEARNERS, default=None)
 
     verify_p = sub.add_parser("verify", help="run the property suites and print pass/fail")
     verify_p.add_argument("--seed", type=int, default=2024)

@@ -72,7 +72,7 @@ def unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the probs array
 class ActionDistribution:
     """Probability vector over the K actions, validated by :func:`check_simplex`."""
 
@@ -116,13 +116,17 @@ class EstimatedCost:
 
 @dataclass(frozen=True)
 class HistoryRecord:
-    """One completed round: what was seen, played, observed and estimated."""
+    """One completed round of any learner: what was seen, played, observed and estimated.
+
+    ``estimate`` is the discretized cost estimate of the relaxation learner,
+    and ``None`` for a learner that keeps none (Exp4, uniform play).
+    """
 
     context: Context
     played_dist: ActionDistribution
     played_action: ActionIndex
     observed_cost: float
-    estimate: EstimatedCost
+    estimate: EstimatedCost | None
 
     def __post_init__(self) -> None:
         k = self.played_dist.num_actions
@@ -130,7 +134,7 @@ class HistoryRecord:
             raise ValueError(f"played action {self.played_action} outside 1..{k}")
         if not 0.0 <= self.observed_cost <= 1.0:
             raise ValueError(f"observed cost {self.observed_cost} outside [0, 1]")
-        if self.estimate.coordinate not in (0, self.played_action):
+        if self.estimate is not None and self.estimate.coordinate not in (0, self.played_action):
             raise ValueError("estimate coordinate must be 0 or the played action")
 
 

@@ -17,7 +17,7 @@ from .policies import PolicyClass
 ADVERSARY_TYPES = ("stochastic-gap", "drifting", "policy-targeted")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the probs array
 class ContextDistribution:
     """Distribution over a finite universe of context ids ``0..U-1``."""
 
@@ -62,7 +62,7 @@ class ContextSequence:
         self.ids.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the costs array
 class CostSchedule:
     """A full horizon of cost vectors, fixed before the run (oblivious)."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import exp4_step, exp4_update, make_exp4_state, uniform_step
+from .baselines import Exp4Learner, UniformLearner
 from .environments import ADVERSARY_TYPES, ContextDistribution, ContextSequence, CostSchedule, make_adversary
 from .learner import ContextSource, LearnerConfig, RelaxationLearner, in_tuning_regime, tune_scale
 from .policies import PolicyClass, ValueOracle, random_policy_class
@@ -349,14 +349,14 @@ def _run_one(
     regret = np.empty(horizon)
     realized_regret = np.empty(horizon)
 
-    learner = None
     oracle = None
-    exp4_state = None
     if kind == "relax":
         oracle = ValueOracle(policy_class)
         learner = RelaxationLearner(learner_config, oracle, source)
     elif kind == "exp4":
-        exp4_state = make_exp4_state(policy_class, horizon)
+        learner = Exp4Learner(policy_class, horizon)
+    else:
+        learner = UniformLearner(k)
 
     min_play = math.inf
     cum_expected = 0.0
@@ -364,17 +364,11 @@ def _run_one(
     for t in range(1, horizon + 1):
         x = int(contexts[t - 1])
         cvec = schedule.costs[t - 1]
-        if kind == "relax":
-            record = learner.play_round(x, lambda a: cvec[a - 1], rng)
-            dist, action = record.played_dist, record.played_action
-        elif kind == "exp4":
-            dist, action = exp4_step(exp4_state, x, rng)
-            exp4_update(exp4_state, x, dist, action, float(cvec[action - 1]))
-        else:
-            dist, action = uniform_step(k, rng)
-        played[t - 1] = action
+        record = learner.play_round(x, lambda a: cvec[a - 1], rng)
+        dist = record.played_dist
+        played[t - 1] = record.played_action
         expected[t - 1] = float(dist.probs @ cvec)
-        realized[t - 1] = float(cvec[action - 1])
+        realized[t - 1] = record.observed_cost
         min_play = min(min_play, float(dist.probs.min()))
         per_policy += cvec[table0[:, x]]
         prefix_best = float(per_policy.min())
@@ -383,6 +377,7 @@ def _run_one(
         regret[t - 1] = cum_expected - prefix_best
         realized_regret[t - 1] = cum_realized - prefix_best
 
+    raw_coin = learner.max_raw_coin_prob if oracle is not None else 0.0
     return RunResult(
         played_actions=played,
         expected_costs=expected,
@@ -394,8 +389,8 @@ def _run_one(
         seed=seed,
         rep=rep,
         min_play_prob=min_play,
-        max_coin_prob=min(learner.max_raw_coin_prob, 1.0) if learner is not None else 0.0,
-        max_raw_coin_prob=learner.max_raw_coin_prob if learner is not None else 0.0,
+        max_coin_prob=min(raw_coin, 1.0),
+        max_raw_coin_prob=raw_coin,
     )
 
 

@@ -105,7 +105,7 @@ def in_tuning_regime(num_actions: int, horizon: int, num_policies: int) -> bool:
     return horizon >= num_actions**2 * math.log(num_policies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the minima and gaps arrays
 class OracleScores:
     """The K+1 oracle answers for one round and their normalized gaps.
 
@@ -195,10 +195,13 @@ def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_ac
     """Sum recorded estimates into a (U, K) per-context loss matrix.
 
     This is the "past" that :func:`oracle_scores` takes.  Estimates are
-    sparse, so this walks the nonzero ones directly, in history order.
+    sparse, so this walks the nonzero ones directly, in history order.  A
+    record without an estimate (an Exp4 or uniform round) is rejected.
     """
     mat = np.zeros((num_contexts, num_actions))
     for rec in history:
+        if rec.estimate is None:
+            raise ValueError(f"round at context {rec.context} has no estimate to sum")
         if rec.estimate.coordinate:
             mat[rec.context, rec.estimate.coordinate - 1] += rec.estimate.scale
     return mat
@@ -218,6 +221,16 @@ def _base_matrix(past: np.ndarray, rho: np.ndarray, config: LearnerConfig, oracl
     return past + future_loss_matrix(rho, config.scale)
 
 
+def _check_context(x_t: Context, num_contexts: int) -> None:
+    """Reject a context id that is not an integer in ``0..num_contexts-1``."""
+    try:
+        operator.index(x_t)
+    except TypeError:
+        raise TypeError(f"context id {x_t} is not an integer") from None
+    if not 0 <= x_t < num_contexts:
+        raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
+
+
 def oracle_scores(
     past: np.ndarray,
     x_t: Context,
@@ -235,13 +248,7 @@ def oracle_scores(
     context id that is not an integer, or lies outside the class's 0..U-1,
     fails before the first call.
     """
-    try:
-        operator.index(x_t)
-    except TypeError:
-        raise TypeError(f"context id {x_t} is not an integer") from None
-    num_contexts = oracle.policy_class.num_contexts
-    if not 0 <= x_t < num_contexts:
-        raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
+    _check_context(x_t, oracle.policy_class.num_contexts)
     base = _base_matrix(past, rho, config, oracle)
     minima = [oracle.value_arrays(base)]
     for a in range(config.K):
@@ -388,13 +395,15 @@ class RelaxationLearner:
         ``cost_of`` reveals just the played action's cost, preserving bandit
         feedback.  The estimator coin uses the realized play distribution of
         this round (the one actually sampled from), so its success
-        probability stays at most 1.  For a ``ContextSequence`` source
-        ``x_t`` must be the known context of this round.
+        probability stays at most 1.  ``x_t`` must be an integer context id
+        of the class and, for a ``ContextSequence`` source, the known context
+        of this round; a rejected round draws nothing from ``rng``.
         """
         t = self.round
         config, source = self.config, self.context_source
         if t > config.T:
             raise ValueError(f"round {t} beyond horizon {config.T}")
+        _check_context(x_t, self.oracle.policy_class.num_contexts)
         if isinstance(source, ContextSequence) and x_t != source.ids[t - 1]:
             raise ValueError(f"round {t} has the known context {source.ids[t - 1]}, got {x_t}")
         rho = sample_future(t, config, source, rng)

@@ -45,7 +45,7 @@ from .core import Context
 REMEMBER_MIN_CELLS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the table array
 class PolicyClass:
     """Deterministic policies as an explicit action lookup table.
 

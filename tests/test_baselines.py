@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from relaxcb import (
+    Exp4Learner,
     PolicyClass,
+    UniformLearner,
     best_policy_loss,
-    exp4_distribution,
-    exp4_step,
-    exp4_update,
     make_adversary,
-    make_exp4_state,
     random_policy_class,
-    uniform_step,
 )
 
 
@@ -22,39 +19,42 @@ class TestExp4:
         # and mixing uniform with uniform stays uniform
         table = np.array([[1], [1], [2], [2], [3], [3]])
         pc = PolicyClass(table=table, num_actions=3)
-        state = make_exp4_state(pc, horizon=100)
-        dist = exp4_distribution(state, 0)
+        learner = Exp4Learner(pc, horizon=100)
+        dist = learner.distribution(0)
         np.testing.assert_allclose(dist.probs, 1 / 3)
 
     def test_single_policy_plays_its_action_mixed_with_floor(self):
         pc = PolicyClass(table=np.array([[2, 2]]), num_actions=3)
-        state = make_exp4_state(pc, horizon=50)
-        dist = exp4_distribution(state, 1)
-        gamma = state.exploration
+        learner = Exp4Learner(pc, horizon=50)
+        dist = learner.distribution(1)
+        gamma = learner.exploration
         np.testing.assert_allclose(
             dist.probs, [gamma / 3, 1 - gamma + gamma / 3, gamma / 3]
         )
 
+    def test_horizon_must_be_positive(self):
+        pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            Exp4Learner(pc, horizon=0)
+
     def test_update_only_charges_matching_policies(self):
         table = np.array([[1], [2]])
         pc = PolicyClass(table=table, num_actions=2)
-        state = make_exp4_state(pc, horizon=10)
+        learner = Exp4Learner(pc, horizon=10)
         rng = np.random.default_rng(0)
-        dist, action = exp4_step(state, 0, rng)
-        exp4_update(state, 0, dist, action, 1.0)
-        w = state.log_weights
+        action = learner.play_round(0, lambda a: 1.0, rng).played_action
+        w = learner.log_weights
         # the policy that played the action lost weight relative to the other
         assert w[action - 1] < w[2 - action]
 
     def test_log_weights_stay_finite_under_adversarial_costs(self):
         rng = np.random.default_rng(1)
         pc = random_policy_class(8, 3, 3, rng)
-        state = make_exp4_state(pc, horizon=500)
+        learner = Exp4Learner(pc, horizon=500)
         for t in range(500):
             x = int(rng.integers(3))
-            dist, action = exp4_step(state, x, rng)
-            exp4_update(state, x, dist, action, float(rng.integers(2)))
-            assert np.all(np.isfinite(state.log_weights))
+            learner.play_round(x, lambda a: float(rng.integers(2)), rng)
+            assert np.all(np.isfinite(learner.log_weights))
 
     def test_sublinear_on_gap_instance(self):
         """Regret per round shrinks between T=500 and T=2000 on a 2-action gap."""
@@ -68,14 +68,13 @@ class TestExp4:
 
         def run(horizon, seed):
             rng = np.random.default_rng(seed)
-            state = make_exp4_state(pc, horizon)
+            learner = Exp4Learner(pc, horizon)
             expected = 0.0
             for t in range(1, horizon + 1):
                 x = int(contexts[t - 1])
                 cvec = sched.costs[t - 1]
-                dist, action = exp4_step(state, x, rng)
-                exp4_update(state, x, dist, action, float(cvec[action - 1]))
-                expected += float(dist.probs @ cvec)
+                record = learner.play_round(x, lambda a: cvec[a - 1], rng)
+                expected += float(record.played_dist.probs @ cvec)
             comparator = best_policy_loss(pc, contexts[:horizon], sched.costs[:horizon])
             return expected - comparator
 
@@ -88,14 +87,17 @@ class TestExp4:
 class TestUniform:
     def test_distribution(self):
         rng = np.random.default_rng(0)
-        dist, action = uniform_step(4, rng)
-        np.testing.assert_allclose(dist.probs, 0.25)
-        assert 1 <= action <= 4
+        record = UniformLearner(4).play_round(0, lambda a: 0.5, rng)
+        np.testing.assert_allclose(record.played_dist.probs, 0.25)
+        assert 1 <= record.played_action <= 4
 
     def test_action_frequencies(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        counts = np.bincount([uniform_step(4, rng)[1] - 1 for _ in range(n)], minlength=4)
+        learner = UniformLearner(4)
+        counts = np.bincount(
+            [learner.play_round(0, lambda a: 0.5, rng).played_action - 1 for _ in range(n)], minlength=4
+        )
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(counts / n - 0.25) <= 3 * sigma)
 
@@ -109,9 +111,38 @@ class TestUniform:
         contexts = np.zeros(horizon, dtype=int)
         per_round = costs[0].mean() - costs[0].min()
         rng = np.random.default_rng(2)
+        learner = UniformLearner(k)
         expected = 0.0
         for t in range(horizon):
-            dist, _ = uniform_step(k, rng)
-            expected += float(dist.probs @ costs[t])
+            record = learner.play_round(0, lambda a: costs[t, a - 1], rng)
+            expected += float(record.played_dist.probs @ costs[t])
         regret = expected - best_policy_loss(pc, contexts, costs)
         assert regret == pytest.approx(per_round * horizon, abs=1e-9)
+
+
+both_baselines = pytest.mark.parametrize(
+    "make", [lambda pc: Exp4Learner(pc, horizon=10), lambda pc: UniformLearner(pc.num_actions)],
+    ids=["exp4", "uniform"],
+)
+
+
+class TestLearnerInterface:
+    """Both baselines play rounds like ``RelaxationLearner``: one record, no estimate."""
+
+    @both_baselines
+    def test_record_carries_no_estimate(self, make):
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
+        record = make(pc).play_round(1, lambda a: 0.25 * a, np.random.default_rng(0))
+        assert record.context == 1
+        assert record.observed_cost == 0.25 * record.played_action
+        assert record.estimate is None
+
+    @both_baselines
+    @pytest.mark.parametrize("cost", [1.5, -0.1])
+    def test_cost_outside_unit_interval_rejected(self, make, cost):
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
+        learner = make(pc)
+        with pytest.raises(ValueError, match=r"observed cost .* outside \[0, 1\]"):
+            learner.play_round(0, lambda a: cost, np.random.default_rng(0))
+        if isinstance(learner, Exp4Learner):
+            np.testing.assert_array_equal(learner.log_weights, 0.0)

@@ -5,8 +5,12 @@ import pytest
 
 from relaxcb import (
     ActionDistribution,
+    ContextDistribution,
+    CostSchedule,
     EstimatedCost,
     HistoryRecord,
+    OracleScores,
+    PolicyClass,
     build_estimate,
     draw_estimator_coin,
 )
@@ -63,6 +67,23 @@ class TestActionDistribution:
         assert idx == int(np.searchsorted(np.cumsum(probs), u, side="right"))
         # both generators are now in the same state
         assert cfg_rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ActionDistribution.uniform(2),
+        lambda: ContextDistribution.uniform(2),
+        lambda: CostSchedule(np.full((2, 2), 0.5)),
+        lambda: PolicyClass(table=np.array([[1, 2]]), num_actions=2),
+        lambda: OracleScores.from_minima(np.array([0.0, 1.0, 2.0]), 4.0),
+    ],
+    ids=["ActionDistribution", "ContextDistribution", "CostSchedule", "PolicyClass", "OracleScores"],
+)
+def test_array_value_types_compare_and_hash_by_identity(make):
+    first, second = make(), make()
+    assert first == first and first != second
+    assert len({first, second}) == 2
 
 
 class TestEstimatedCost:

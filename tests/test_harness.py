@@ -188,6 +188,53 @@ class TestRunExperiment:
             assert run.comparator_loss == pytest.approx(expected, abs=1e-9)
 
 
+
+def baseline_config(learner, transductive):
+    """A small K=3, N=8, U=4, T=30 game; transductive runs face the policy-targeted adversary."""
+    adversary = (
+        {"type": "policy-targeted", "delta": 0.2, "period": 7, "seed": 2}
+        if transductive
+        else {"type": "stochastic-gap", "delta": 0.3, "seed": 2}
+    )
+    return {
+        "K": 3,
+        "T": 30,
+        "L": 6.0,
+        "learner": learner,
+        "reps": 2,
+        "seed": 13,
+        "policyClass": {"type": "table", "seed": 4, "N": 8, "U": 4, "K": 3},
+        "environment": {
+            "context": {"U": 4, "probs": "uniform"},
+            "adversary": adversary,
+            "transductive": transductive,
+        },
+    }
+
+
+class TestFrozenBaselines:
+    """Exp4 and uniform play, pinned through ``run_experiment`` alone: the
+    played actions of both replications and their final regrets, exactly."""
+
+    EXP4_ACTIONS = ("233121233331332231221321213331", "132131233323331211232322322322")
+    UNIFORM_ACTIONS = ("232221233221332132131331113221", "131121133313222111132221312322")
+
+    @pytest.mark.parametrize(
+        "learner, transductive, actions, final_regrets",
+        [
+            ("exp4", False, EXP4_ACTIONS, (4.483960961513242, 3.175825715955554)),
+            ("uniform", False, UNIFORM_ACTIONS, (5.3302120496036824, 4.790953820131913)),
+            ("exp4", True, EXP4_ACTIONS, (3.99349961686948, 2.4694700701837515)),
+            ("uniform", True, UNIFORM_ACTIONS, (4.800000000000006, 3.700000000000008)),
+        ],
+        ids=["exp4-iid", "uniform-iid", "exp4-transductive", "uniform-transductive"],
+    )
+    def test_pinned_runs(self, learner, transductive, actions, final_regrets):
+        result = run_experiment(baseline_config(learner, transductive))
+        assert ["".join(map(str, run.played_actions)) for run in result.runs] == list(actions)
+        assert tuple(run.final_regret for run in result.runs) == final_regrets
+        assert result.oracle_calls_total == 0
+
 class TestEmitOutputs:
     def test_files_and_shapes(self, tmp_path):
         result = run_experiment(small_config())

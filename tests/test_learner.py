@@ -15,6 +15,7 @@ from relaxcb import (
     OracleScores,
     PolicyClass,
     RelaxationLearner,
+    UniformLearner,
     ValueOracle,
     admissibility_check,
     in_tuning_regime,
@@ -516,6 +517,11 @@ class TestPastMatrix:
                     relaxation_value(past, 1, draw, cfg, oracle)
         assert oracle.stats.calls == 0
 
+    def test_record_without_estimate_rejected(self):
+        record = UniformLearner(2).play_round(1, lambda a: 0.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="round at context 1 has no estimate"):
+            past_loss_matrix([record], 2, 2)
+
     def test_draw_longer_than_horizon_rejected(self):
         # a draw for rounds t+1..T with t outside 0..T covers more than the horizon
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
@@ -633,6 +639,27 @@ class TestStep:
         # numpy integer ids are integers
         learner.play_round(np.int64(1), lambda a: 0.5, np.random.default_rng(0))
         assert oracle.stats.calls == cfg.K + 1
+
+    @pytest.mark.parametrize(
+        "source, x_t, error",
+        [
+            (ContextDistribution.uniform(3), 3, ValueError),
+            (ContextDistribution.uniform(3), 1.0, TypeError),
+            (ContextSequence(np.array([1, 2, 0]), 3), 3, ValueError),
+            (ContextSequence(np.array([1, 2, 0]), 3), 1.0, TypeError),  # 1.0 == the known id 1
+        ],
+        ids=["iid-outside", "iid-float", "transductive-outside", "transductive-float"],
+    )
+    def test_rejected_round_draws_nothing(self, source, x_t, error):
+        pc, cfg, _ = self.setup_instance(u=3)
+        oracle = ValueOracle(pc)
+        learner = RelaxationLearner(cfg, oracle, source)
+        rng = np.random.default_rng(0)
+        with pytest.raises(error, match="context id"):
+            learner.play_round(x_t, lambda a: 0.5, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert learner.round == 1
+        assert oracle.stats.calls == 0
 
     def test_transductive_context_must_be_the_known_one(self):
         pc, cfg, _ = self.setup_instance(u=3)

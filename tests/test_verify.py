@@ -11,6 +11,7 @@ from relaxcb import (
     LearnerConfig,
     OracleScores,
     RelaxationLearner,
+    UniformLearner,
     ValueOracle,
     admissibility_check,
     brute_force_minimax,
@@ -168,6 +169,14 @@ class TestAdmissibilityCheck:
         res = admissibility_check(pc, cfg, dist, history, 1500, rng)
         assert res.round_index == 2
         assert res.passed()
+
+    def test_rejects_a_record_without_estimate(self):
+        rng = np.random.default_rng(11)
+        pc = random_policy_class(4, 2, 2, rng)
+        cfg = LearnerConfig(K=2, T=2, scale=3.0)
+        history = [UniformLearner(2).play_round(0, lambda a: 0.5, rng)]
+        with pytest.raises(ValueError, match="no estimate"):
+            admissibility_check(pc, cfg, ContextDistribution.uniform(2), history, 10, rng)
 
     def test_rejects_exhausted_horizon(self):
         rng = np.random.default_rng(10)
