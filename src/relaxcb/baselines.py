@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ActionDistribution, ActionIndex, Context, HistoryRecord
+from .core import ActionDistribution, ActionIndex, Context, HistoryRecord, check_context
 from .policies import PolicyClass
 
 
@@ -60,8 +60,10 @@ class Exp4Learner:
         Only policies that would have played the observed action are charged.
         The exploration floor keeps the importance weight at most
         ``K / exploration``, so log-weights stay finite; they are re-centered
-        each round to avoid drift.  Consumes one uniform.
+        each round to avoid drift.  Consumes one uniform.  A context id
+        outside the class is rejected before any draw or update.
         """
+        check_context(x_t, self.policy_class.num_contexts)
         dist = self.distribution(x_t)
         action = dist.sample(rng)
         cost = float(cost_of(action))
@@ -76,7 +78,10 @@ class Exp4Learner:
 
 
 class UniformLearner:
-    """Uniform play: the floor every learner should beat.  Consumes one uniform per round."""
+    """Uniform play: the floor every learner should beat.  Consumes one uniform per round.
+
+    It knows no U, so ``x_t`` goes into the record unchecked.
+    """
 
     def __init__(self, num_actions: int) -> None:
         self.dist = ActionDistribution.uniform(num_actions)

@@ -18,6 +18,7 @@ All types here are immutable value objects, safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,16 @@ SIMPLEX_ATOL = 1e-9
 
 #: Slack allowed when checking a probability against the 1/scale floor.
 FLOOR_ATOL = 1e-12
+
+
+def check_context(x_t: Context, num_contexts: int) -> None:
+    """Reject a context id that is not an integer in ``0..num_contexts-1``."""
+    try:
+        operator.index(x_t)
+    except TypeError:
+        raise TypeError(f"context id {x_t} is not an integer") from None
+    if not 0 <= x_t < num_contexts:
+        raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:

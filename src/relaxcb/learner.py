@@ -7,12 +7,13 @@ with the uniform distribution for exploration, plays, and finally records a
 discretized importance-weighted estimate of the observed cost.  The oracle
 budget is exactly K+1 calls per round.
 
-The history enters every score only through the (U, K) past matrix, the
-per-context sum of the recorded estimates (``past_loss_matrix``), and the
-random future only through the (U, K) matrix of its sign sums
-(``sample_future``), drawn in law in O(U*K) work whatever the number of
-remaining rounds.  ``oracle_scores`` and ``relaxation_value`` take both,
-and ``RelaxationLearner`` updates the past in place.
+Every loss shown to the oracle is a whole multiple of ``scale``, so the
+learner scores in those units on (U, K) int64 matrices: the past is the
+coin count (``past_loss_matrix``), the future is ``2 * rho`` for the sign
+sums ``rho`` drawn in law in O(U*K) work (``sample_future``), and a charged
+query adds 1 at ``(x_t, a)``.  The oracle's answers are exact integers, so
+every gap is exactly 0 or 1, at most one is 1, and a tie (all gaps 0: the
+base minimisers disagree at ``x_t``) fills the lowest index.
 
 Randomness contract (one round with ``n`` remaining rounds consumes, in
 order):
@@ -33,7 +34,6 @@ This fixed order makes full traces reproducible by hand from the seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -47,6 +47,7 @@ from .core import (
     Context,
     HistoryRecord,
     build_estimate,
+    check_context,
     draw_estimator_coin,
     unchecked,
 )
@@ -113,7 +114,7 @@ class OracleScores:
     ``scale``-sized charge on action ``i`` at the current context is added
     to the sequence (``minima[0]``: no charge).  ``gaps[i-1]`` is
     ``(minima[i] - minima[0]) / scale``, the normalized price of action
-    ``i`` this round.
+    ``i`` this round, exactly 0.0 or 1.0 from :func:`oracle_scores`.
     """
 
     minima: np.ndarray  # (K+1,)
@@ -192,43 +193,33 @@ def sample_future(
 
 
 def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_actions: int) -> np.ndarray:
-    """Sum recorded estimates into a (U, K) per-context loss matrix.
+    """Count the recorded coins into a (U, K) int64 matrix, the past of :func:`oracle_scores`.
 
-    This is the "past" that :func:`oracle_scores` takes.  Estimates are
-    sparse, so this walks the nonzero ones directly, in history order.  A
-    record without an estimate (an Exp4 or uniform round) is rejected.
+    The past loss matrix is ``scale`` times these counts.  A record without
+    an estimate (an Exp4 or uniform round) is rejected.
     """
-    mat = np.zeros((num_contexts, num_actions))
+    mat = np.zeros((num_contexts, num_actions), dtype=np.int64)
     for rec in history:
         if rec.estimate is None:
             raise ValueError(f"round at context {rec.context} has no estimate to sum")
         if rec.estimate.coordinate:
-            mat[rec.context, rec.estimate.coordinate - 1] += rec.estimate.scale
+            mat[rec.context, rec.estimate.coordinate - 1] += 1
     return mat
 
 
-def future_loss_matrix(rho: np.ndarray, scale: float) -> np.ndarray:
-    """The perturbation's (U, K) loss matrix: each sign sum times ``2 * scale``."""
-    return (2.0 * scale) * rho
+def future_loss_matrix(rho: np.ndarray) -> np.ndarray:
+    """The perturbation's (U, K) loss matrix in ``scale`` units: each sign sum doubled."""
+    return 2 * rho
 
 
 def _base_matrix(past: np.ndarray, rho: np.ndarray, config: LearnerConfig, oracle: ValueOracle) -> np.ndarray:
-    """The past matrix plus the future loss matrix, after checking that both are (U, K)."""
+    """The past counts plus the future loss matrix, after checking that both are (U, K) int64."""
     shape = (oracle.policy_class.num_contexts, config.K)
-    for name, mat in (("past loss", past), ("future draw", rho)):
-        if np.shape(mat) != shape:
-            raise ValueError(f"{name} matrix must have shape {shape}, got {np.shape(mat)}")
-    return past + future_loss_matrix(rho, config.scale)
-
-
-def _check_context(x_t: Context, num_contexts: int) -> None:
-    """Reject a context id that is not an integer in ``0..num_contexts-1``."""
-    try:
-        operator.index(x_t)
-    except TypeError:
-        raise TypeError(f"context id {x_t} is not an integer") from None
-    if not 0 <= x_t < num_contexts:
-        raise ValueError(f"context id {x_t} outside 0..{num_contexts - 1} of a {num_contexts}-context class")
+    for name, mat in (("past count", past), ("future draw", rho)):
+        mat = np.asarray(mat)
+        if mat.shape != shape or mat.dtype != np.int64:
+            raise ValueError(f"{name} matrix must be int64 of shape {shape}, got {mat.dtype} {mat.shape}")
+    return past + future_loss_matrix(rho)
 
 
 def oracle_scores(
@@ -240,26 +231,23 @@ def oracle_scores(
 ) -> OracleScores:
     """Compute the round's K+1 oracle answers.
 
-    ``past`` is the (U, K) sum of the recorded estimates
-    (:func:`past_loss_matrix`) and ``rho`` the (U, K) sign sums of the
-    future (:func:`sample_future`).  Each answer is one oracle call on
-    ``past`` plus the future loss matrix plus the single charge at the
-    current context (absent for index 0); exactly K+1 calls total.  A
-    context id that is not an integer, or lies outside the class's 0..U-1,
-    fails before the first call.
+    ``past`` is the (U, K) coin count (:func:`past_loss_matrix`) and ``rho``
+    the (U, K) sign sums of the future (:func:`sample_future`).  Each answer
+    is one oracle call on ``past`` plus the future loss matrix plus one
+    coin at the current context (absent for index 0); exactly K+1 calls
+    total.  The gaps are the integer differences of the answers; the minima
+    are scaled back to loss units.  A context id that is not an integer, or
+    lies outside the class's 0..U-1, fails before the first call.
     """
-    _check_context(x_t, oracle.policy_class.num_contexts)
+    check_context(x_t, oracle.policy_class.num_contexts)
     base = _base_matrix(past, rho, config, oracle)
     minima = [oracle.value_arrays(base)]
     for a in range(config.K):
         charged = base.copy()
-        charged[x_t, a] += config.scale
+        charged[x_t, a] += 1
         minima.append(oracle.value_arrays(charged))
-    # from_minima's arithmetic, checked once: finite gaps imply finite minima.
-    gaps = [(m - minima[0]) / config.scale for m in minima[1:]]
-    if not all(map(math.isfinite, gaps)):
-        raise ValueError("scores must be finite")
-    return unchecked(OracleScores, minima=np.array(minima), gaps=np.array(gaps))
+    gaps = np.array([float(m - minima[0]) for m in minima[1:]])
+    return unchecked(OracleScores, minima=config.scale * np.array(minima, dtype=float), gaps=gaps)
 
 
 def water_fill(gaps) -> ActionDistribution:
@@ -348,26 +336,26 @@ def relaxation_value(
 ) -> float:
     """Single-draw potential of the game after ``t`` rounds.
 
-    Minus the oracle value on the (U, K) past matrix (the recorded
-    estimates, :func:`past_loss_matrix`) plus the future loss matrix of
-    ``rho``, the draw for rounds ``t+1 .. T`` (:func:`sample_future`), plus
-    the exploration budget ``(T - t) * K / scale`` for the remaining
-    rounds.  One oracle call.
+    Minus ``scale`` times the oracle value on the (U, K) coin count
+    (:func:`past_loss_matrix`) plus the future loss matrix of ``rho``, the
+    draw for rounds ``t+1 .. T`` (:func:`sample_future`), plus the
+    exploration budget ``(T - t) * K / scale`` for the remaining rounds.
+    One oracle call.
     """
     if not 0 <= t <= config.T:
         raise ValueError(f"round {t} outside the horizon 0..{config.T}")
     value = oracle.value_arrays(_base_matrix(past, rho, config, oracle))
-    return -value + (config.T - t) * config.K / config.scale
+    return -config.scale * value + (config.T - t) * config.K / config.scale
 
 
 class RelaxationLearner:
     """The round engine; one instance per replication.
 
-    Starts at round 1 with a zero (U, K) past matrix and keeps that matrix
-    and the next round's number, not a record list; each new estimate is
-    added to the matrix in place.  Instances are single-threaded.  Each
-    replication gets its own learner, oracle and generator, as the harness
-    does; there is no parallel path.
+    Starts at round 1 with a zero (U, K) coin count and keeps that count
+    and the next round's number, not a record list; each coin adds 1 to the
+    count in place.  Instances are single-threaded.  Each replication gets
+    its own learner, oracle and generator, as the harness does; there is no
+    parallel path.
     """
 
     def __init__(
@@ -381,7 +369,7 @@ class RelaxationLearner:
         self.oracle = oracle
         self.context_source = context_source
         self.round = 1  # the next round to play
-        self._past = np.zeros((oracle.policy_class.num_contexts, config.K))
+        self._past = np.zeros((oracle.policy_class.num_contexts, config.K), dtype=np.int64)
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
 
     def play_round(
@@ -403,7 +391,7 @@ class RelaxationLearner:
         config, source = self.config, self.context_source
         if t > config.T:
             raise ValueError(f"round {t} beyond horizon {config.T}")
-        _check_context(x_t, self.oracle.policy_class.num_contexts)
+        check_context(x_t, self.oracle.policy_class.num_contexts)
         if isinstance(source, ContextSequence) and x_t != source.ids[t - 1]:
             raise ValueError(f"round {t} has the known context {source.ids[t - 1]}, got {x_t}")
         rho = sample_future(t, config, source, rng)
@@ -423,5 +411,5 @@ class RelaxationLearner:
         )
         self.round += 1
         if coin:
-            self._past[x_t, action - 1] += config.scale
+            self._past[x_t, action - 1] += 1
         return record

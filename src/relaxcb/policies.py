@@ -7,24 +7,20 @@ weighted example sequence.  It is exact enumeration and every invocation is
 counted, because the learner's efficiency claim is measured in oracle calls.
 
 Policies depend on the context id only, so a query is the (U, K) matrix
-whose row u sums the losses of the examples at context u.  A call reads it
-as the new flat vector ``matrix.ravel() + 0.0`` (-0.0 becomes +0.0, as in a
-sum into a zeroed matrix; NaN passes on).  A flat gather reads, for every
-policy, the cells it plays through an ``(N, U)`` offset table built once per
-oracle and sums each row as a 2-d index gather would, bit for bit.
-:func:`best_policy_loss` folds a (T,) context sequence into that matrix
-with one ``bincount`` (:func:`context_action_sums`).
+whose row u sums the losses of the examples at context u.  Queries are int64
+(the learner asks in units of its estimate scale), so every sum is exact in
+any order and the answer is an exact ``int``.  A flat gather reads each
+policy's cells through an ``(N, U)`` offset table built once per oracle.
+:func:`best_policy_loss`, the comparator on real costs, sums a (T,) context
+sequence into a float (U, K) matrix instead (:func:`context_action_sums`).
 
 A learner's round asks one base query and then K charged queries, each the
 base plus one cell.  So an oracle over a large table (``N * U`` at least
-:data:`REMEMBER_MIN_CELLS`) remembers its last full query: the flat
-per-context vector and every policy's total.  A query whose vector differs
-from the remembered one in exactly one cell (compared bit for bit) re-sums
-only the rows of the policies that read that cell and keeps every other
-total.  A policy that does not read the cell sees the same bits, so its
-total is the same; a reader's row is summed in full, in the same order.
-The totals vector is therefore the one a full gather would give, and so is
-its minimum.  Any other query runs the full gather and is remembered.
+:data:`REMEMBER_MIN_CELLS`) remembers its last full query and every
+policy's total.  A query that differs from it in one cell by ``delta``
+changes exactly the totals of that cell's readers, by ``delta`` each:
+``last_totals + delta * readers``.  Any other query runs the full gather
+and is remembered.
 """
 
 from __future__ import annotations
@@ -37,11 +33,10 @@ import numpy as np
 from .core import Context
 
 #: Smallest table (N * U cells) for which an oracle remembers its last full
-#: query.  Below it the comparison and bookkeeping cost more than the
-#: re-sum saves.  Timed as base + K charged queries on random tables (2-core
-#: Intel Xeon, numpy 2.4): the memory broke even near 5000 cells at K=5 and
-#: near 10000 at K=2; it cost 40% more at 500 cells and, at K=5, halved the
-#: time at 250000 cells.
+#: query; on smaller tables the bookkeeping costs more than it saves.  Timed
+#: as base + K charged queries (2-core Intel Xeon, numpy 2.4, K=2 and 5): it
+#: broke even near 2000 cells at U=10 and 4000 at U=50, cost 40-70% more at
+#: 500 cells, and saved 25-55% at 8192 and 55-78% at 250000.
 REMEMBER_MIN_CELLS = 8192
 
 
@@ -134,7 +129,7 @@ class ValueOracle:
 
     Exposes only the *value* of the best policy on a weighted example
     sequence, never the policy itself.  Each call increments ``stats.calls``
-    by exactly one, whichever path answers it.
+    by exactly one, whether it answers or rejects the query.
 
     On a table of at least :data:`REMEMBER_MIN_CELLS` cells the oracle keeps
     its last full query as one ``(cells, totals)`` tuple, replaced in a
@@ -155,31 +150,30 @@ class ValueOracle:
         self._remember = flat.size >= REMEMBER_MIN_CELLS
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def value_arrays(self, losses: np.ndarray) -> float:
-        """Best cumulative loss over the class on the (U, K) matrix ``losses``.
+    def value_arrays(self, losses: np.ndarray) -> int:
+        """Best cumulative loss over the class on the (U, K) int64 matrix ``losses``.
 
-        Row u holds the losses at context u.  The matrix is read as a new flat
-        array, never a view the caller may mutate.
+        Row u holds the losses at context u; another shape raises ``ValueError``,
+        another dtype ``TypeError``.  A remembered query is copied, never a view.
         """
         self.stats.increment()
-        num_actions = self._shape[1]
         if losses.shape != self._shape:
             raise ValueError(f"losses has shape {losses.shape}, expected {self._shape}")
-        per_context = np.asarray(losses, dtype=float).ravel() + 0.0
+        if losses.dtype != np.int64:
+            raise TypeError(f"losses must be an int64 matrix, got {losses.dtype}")
+        cells = losses.ravel()
         last = self._last  # one read: the answer comes from the snapshot it is compared with
         if last is not None:
             last_cells, last_totals = last
-            changed = np.flatnonzero(per_context.view(np.uint64) != last_cells.view(np.uint64))
+            changed = np.flatnonzero(cells != last_cells)
             if changed.size == 1:
                 cell = int(changed[0])
-                readers = np.flatnonzero(self._flat[:, cell // num_actions] == cell)
-                totals = last_totals.copy()
-                totals[readers] = per_context.take(self._flat.take(readers, axis=0)).sum(axis=1)
-                return float(totals.min())
-        totals = per_context.take(self._flat).sum(axis=1)
+                readers = self._flat[:, cell // self._shape[1]] == cell
+                return int((last_totals + int(cells[cell] - last_cells[cell]) * readers).min())
+        totals = cells.take(self._flat).sum(axis=1)
         if self._remember:
-            self._last = (per_context, totals)
-        return float(totals.min())
+            self._last = (cells.copy(), totals)
+        return int(totals.min())
 
 
 def best_policy_loss(policy_class: PolicyClass, contexts, costs) -> float:

@@ -355,12 +355,12 @@ def admissibility_check(
         for x in range(num_contexts):
             scores = oracle_scores(past, x, rho_play, config, oracle)
             dist = play_distribution(scores, config)
-            # the potential after this round's estimate: zero, or scale at (x, a)
+            # the potential after this round's estimate: zero, or one coin at (x, a)
             r_zero = relaxation_value(past, t, rho_next, config, oracle)
             r_spike = np.empty(k)
             for a in range(k):
                 after = past.copy()
-                after[x, a] += scale
+                after[x, a] += 1
                 r_spike[a] = relaxation_value(after, t, rho_next, config, oracle)
             # E over (action, coin) given cost vector c collapses to
             # q.c + (c/scale).(r_spike - r_zero) + r_zero: the importance

@@ -37,6 +37,26 @@ class TestExp4:
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
             Exp4Learner(pc, horizon=0)
 
+    @pytest.mark.parametrize(
+        "x_t, error, message",
+        [
+            (-1, ValueError, "context id -1 outside 0..2 of a 3-context class"),
+            (3, ValueError, "context id 3 outside 0..2 of a 3-context class"),
+            (1.0, TypeError, "context id 1.0 is not an integer"),
+        ],
+        ids=["negative", "U", "float"],
+    )
+    def test_context_outside_the_class_rejected(self, x_t, error, message):
+        pc = random_policy_class(6, 3, 2, np.random.default_rng(0))
+        learner = Exp4Learner(pc, horizon=10)
+        learner.log_weights = np.log(np.arange(1.0, 7.0))  # not uniform, so a reset would show
+        weights = learner.log_weights.copy()
+        rng = np.random.default_rng(1)
+        with pytest.raises(error, match=message):
+            learner.play_round(x_t, lambda a: 0.5, rng)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        assert np.array_equal(learner.log_weights, weights)
+
     def test_update_only_charges_matching_policies(self):
         table = np.array([[1], [2]])
         pc = PolicyClass(table=table, num_actions=2)

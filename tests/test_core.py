@@ -87,7 +87,7 @@ def test_array_value_types_compare_and_hash_by_identity(make):
 
 
 class TestEstimatedCost:
-    # the learner adds estimates into its (U, K) loss matrix as dense vectors
+    # the learner counts estimates into its (U, K) coin matrix, in units of scale
     @staticmethod
     def record(est):
         dist = ActionDistribution.uniform(3)
@@ -95,11 +95,11 @@ class TestEstimatedCost:
 
     def test_spike_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=2)
-        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0.0, 4.0, 0.0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 1, 0]])
 
     def test_zero_vector(self):
         est = EstimatedCost(scale=4.0, coordinate=0)
-        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 0, 0]])
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Learner operations: tuning, sampling, scoring, water-filling, stepping."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +27,13 @@ from relaxcb import (
     play_distribution,
     random_policy_class,
     relaxation_value,
+    run_experiment,
     sample_future,
     sup_by_vertex_enumeration,
     tune_scale,
     water_fill,
 )
+from relaxcb import learner as learner_module
 from relaxcb.core import unchecked
 from relaxcb.learner import past_loss_matrix
 from relaxcb.verify import brute_force_minimax
@@ -149,7 +153,7 @@ class TestContextSourceSize:
         # sample_future draws a (u, K) matrix; the scoring rejects it before any call
         oracle = ValueOracle(self.pc)
         with pytest.raises(ValueError, match="shape"):
-            oracle_scores(np.zeros((2, 2)), 0, sample_future(0, self.cfg, dist, rng), self.cfg, oracle)
+            oracle_scores(zeros((2, 2)), 0, sample_future(0, self.cfg, dist, rng), self.cfg, oracle)
         assert oracle.stats.calls == 0
         with pytest.raises(ValueError, match=message):
             admissibility_check(self.pc, self.cfg, dist, [], 5, rng)
@@ -195,6 +199,11 @@ def action_of(policy_class, policy, context):
     return int(policy_class.table[policy, context])
 
 
+def zeros(shape):
+    """An all-zero int64 count matrix."""
+    return np.zeros(shape, dtype=np.int64)
+
+
 def make_scores(minima, scale):
     return OracleScores.from_minima(np.asarray(minima, dtype=float), scale)
 
@@ -223,7 +232,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=2, T=1, scale=2.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores(np.zeros((1, 2)), 0, rho, cfg, ValueOracle(pc))
+        scores = oracle_scores(zeros((1, 2)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, 0.0)
         np.testing.assert_allclose(scores.gaps, 0.0)
 
@@ -232,7 +241,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=3, T=1, scale=5.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores(np.zeros((1, 3)), 0, rho, cfg, ValueOracle(pc))
+        scores = oracle_scores(zeros((1, 3)), 0, rho, cfg, ValueOracle(pc))
         np.testing.assert_allclose(scores.minima, [0.0, 5.0, 0.0, 0.0])
         np.testing.assert_allclose(scores.gaps, [1.0, 0.0, 0.0])
 
@@ -242,7 +251,7 @@ class TestOracleScores:
         cfg = LearnerConfig(K=4, T=8, scale=6.0)
         oracle = ValueOracle(pc)
         rho = sample_future(1, cfg, ContextDistribution.uniform(3), rng)
-        oracle_scores(np.zeros((3, 4)), 0, rho, cfg, oracle)
+        oracle_scores(zeros((3, 4)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 5
 
     def test_matches_loop_enumeration(self):
@@ -269,6 +278,8 @@ class TestOracleScores:
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             x_t = int(rng.integers(u))
             scores = oracle_scores(past_loss_matrix(history, u, k), x_t, rho, cfg, ValueOracle(pc))
+            # integer answers: every gap is exactly 0 or 1, and at most one is 1
+            assert set(scores.gaps.tolist()) <= {0.0, 1.0} and scores.gaps.sum() <= 1.0
             for i in range(k + 1):
                 best = math.inf
                 for p in range(n):
@@ -418,26 +429,14 @@ class TestCombinedCheck:
         rng = np.random.default_rng(41)
         pc = random_policy_class(50, 10, 5, rng)
         cfg = LearnerConfig(K=5, T=40, scale=7.5)
-        past = rng.integers(0, 3, size=(10, 5)) * cfg.scale
+        past = rng.integers(0, 3, size=(10, 5))
         for t in range(1, 41, 7):
             rho = sample_future(t, cfg, ContextDistribution.uniform(10), rng)
             scores = oracle_scores(past, int(rng.integers(10)), rho, cfg, ValueOracle(pc))
             expected = OracleScores.from_minima(scores.minima, cfg.scale)
-            assert np.array_equal(scores.gaps, expected.gaps)
+            np.testing.assert_allclose(scores.gaps, expected.gaps, rtol=0.0, atol=1e-12)
+            assert set(scores.gaps.tolist()) <= {0.0, 1.0}
             assert not (scores.minima.flags.writeable or scores.gaps.flags.writeable)
-
-    def test_nan_in_the_past_stops_the_round(self):
-        pc = random_policy_class(6, 3, 2, np.random.default_rng(42))
-        cfg = LearnerConfig(K=2, T=5, scale=3.0)
-        oracle = ValueOracle(pc)
-        learner = RelaxationLearner(cfg, oracle, ContextDistribution.uniform(3))
-        learner._past[:, 0] = np.nan  # a NaN total makes every minimum NaN
-        with pytest.raises(ValueError, match="scores must be finite"):
-            learner.play_round(1, lambda a: 0.5, np.random.default_rng(0))
-        assert oracle.stats.calls == cfg.K + 1
-        assert learner.round == 1
-        with pytest.raises(ValueError, match="scores must be finite"):
-            oracle_scores(learner._past, 1, np.zeros((3, 2), dtype=np.int64), cfg, oracle)
 
     def test_non_finite_gaps_fail_the_check(self):
         # gaps that bypassed the scores' own check are still caught once, at the end
@@ -461,7 +460,7 @@ class TestRelaxationValue:
         pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=6, scale=4.0)
         zero_draw = np.zeros((2, 2), dtype=np.int64)
-        value = relaxation_value(np.zeros((2, 2)), 0, zero_draw, cfg, ValueOracle(pc))
+        value = relaxation_value(zeros((2, 2)), 0, zero_draw, cfg, ValueOracle(pc))
         assert value == pytest.approx(6 * 2 / 4.0)
 
     def test_matches_enumeration_plus_offset(self):
@@ -497,7 +496,7 @@ class TestRelaxationValue:
         cfg = LearnerConfig(K=2, T=2, scale=4.0)
         oracle = ValueOracle(pc)
         rho = sample_future(0, cfg, ContextDistribution.uniform(1), np.random.default_rng(3))
-        relaxation_value(np.zeros((1, 2)), 0, rho, cfg, oracle)
+        relaxation_value(zeros((1, 2)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 1
 
 
@@ -509,12 +508,27 @@ class TestPastMatrix:
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(2), np.random.default_rng(0))
         oracle = ValueOracle(pc)
-        for bad in (np.zeros((2, 3)), np.zeros((1, 2)), np.zeros(4)):
-            for past, draw in ((bad, rho), (np.zeros((2, 2)), bad)):
+        for bad in (zeros((2, 3)), zeros((1, 2)), zeros(4)):
+            for past, draw in ((bad, rho), (zeros((2, 2)), bad)):
                 with pytest.raises(ValueError, match="shape"):
                     oracle_scores(past, 0, draw, cfg, oracle)
                 with pytest.raises(ValueError, match="shape"):
                     relaxation_value(past, 1, draw, cfg, oracle)
+        assert oracle.stats.calls == 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.bool_])
+    def test_non_int64_rejected(self, dtype):
+        # counts in scale units only: a float past (say, scale times the
+        # counts) or draw is refused before any oracle call
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=3, scale=4.0)
+        oracle = ValueOracle(pc)
+        bad = np.zeros((2, 2), dtype=dtype)
+        for past, draw in ((bad, zeros((2, 2))), (zeros((2, 2)), bad)):
+            with pytest.raises(ValueError, match=f"must be int64 of shape \\(2, 2\\), got {np.dtype(dtype)}"):
+                oracle_scores(past, 0, draw, cfg, oracle)
+            with pytest.raises(ValueError, match="must be int64"):
+                relaxation_value(past, 1, draw, cfg, oracle)
         assert oracle.stats.calls == 0
 
     def test_record_without_estimate_rejected(self):
@@ -530,12 +544,12 @@ class TestPastMatrix:
         oracle = ValueOracle(pc)
         for t in (-1, 4):
             with pytest.raises(ValueError, match="horizon"):
-                relaxation_value(np.zeros((1, 2)), t, rho, cfg, oracle)
+                relaxation_value(zeros((1, 2)), t, rho, cfg, oracle)
         assert oracle.stats.calls == 0
 
     def test_charged_copy_equals_extended_history(self):
-        # adding scale at (x, a) to a copy of the past gives bit for bit the
-        # answers of the matrix summed from the history extended by that record
+        # one coin at (x, a) added to a copy of the past gives the answers of
+        # the count matrix of the history extended by that record
         rng = np.random.default_rng(12)
         k, u, horizon, scale = 3, 4, 8, 4.37
         pc = random_policy_class(7, u, k, rng)
@@ -554,7 +568,7 @@ class TestPastMatrix:
         for x in range(u):
             for a in range(1, k + 1):
                 charged = past.copy()
-                charged[x, a - 1] += scale
+                charged[x, a - 1] += 1
                 extended = past_loss_matrix([*records, make_record(x, EstimatedCost(scale, a), k)], u, k)
                 assert relaxation_value(charged, t, rho, cfg, oracle) == relaxation_value(
                     extended, t, rho, cfg, oracle
@@ -673,16 +687,58 @@ class TestStep:
         assert learner.round == 2
 
 
-class TestGoldenTrace:
-    """Three rounds replayed against a from-scratch reference implementation.
+def reference_replay(table, num_actions, scale, contexts, costs, rng, probs=None):
+    """A from-scratch replay of the learner in integer units.
 
-    The reference consumes the generator exactly as the randomness contract
-    documents (hits, per-context counts, heads in row-major (u, k) order,
-    action, coin; for a known context sequence, binomial thinning of each
-    context's suffix count replaces hits and counts) and computes every
-    quantity by direct enumeration over the policy table, independently of
-    the library's aggregation, oracle and water-fill code.
+    Consumes ``rng`` exactly as the randomness contract documents (hits,
+    per-context counts, heads in row-major (u, k) order, action, coin; with
+    ``probs=None`` the contexts are the known sequence, and binomial thinning
+    of each context's suffix count replaces hits and counts).  Every policy
+    keeps its coin count as a Python int, and each round's K+1 minima come
+    from enumerating the table, independently of the library's aggregation,
+    oracle and water-fill code.  Returns ``(play, action, coin, gaps)`` per
+    round.
     """
+    k = num_actions
+    num_policies, u = table.shape
+    horizon = len(contexts)
+    coins = [0] * num_policies
+    trace = []
+    for t, x_t in enumerate(contexts, start=1):
+        if probs is None:
+            suffix = list(contexts[t:])
+            counts = [rng.binomial(suffix.count(x), k / scale) for x in range(u)]
+        else:
+            counts = rng.multinomial(rng.binomial(horizon - t, k / scale), probs).tolist()
+        # one scalar draw per entry, row by row: the sign sum of action a at context x
+        sign_sums = [[2 * rng.binomial(counts[x], 0.5) - counts[x] for _ in range(k)] for x in range(u)]
+        base = [
+            coins[p] + sum(2 * sign_sums[x][table[p, x] - 1] for x in range(u)) for p in range(num_policies)
+        ]
+        low = min(base)
+        # a charge on action i adds 1 to every policy that plays i at x_t
+        gaps = [min(b + int(table[p, x_t] == i) for p, b in enumerate(base)) - low for i in range(1, k + 1)]
+        q = np.zeros(k)
+        m = 1.0
+        for i in range(k):
+            q[i] = min(max(gaps[i], 0), m)
+            m -= q[i]
+        if m > 0:
+            q[int(np.argmax(gaps))] += m
+        play = (1 - k / scale) * q + 1 / scale
+        action = int(np.minimum(np.searchsorted(np.cumsum(play), rng.random(), side="right"), k - 1)) + 1
+        cost = costs[t - 1, action - 1]
+        coin = int(rng.random() < cost / (scale * play[action - 1]))
+        if coin:
+            for p in range(num_policies):
+                if table[p, x_t] == action:
+                    coins[p] += 1
+        trace.append((play, action, coin, gaps))
+    return trace
+
+
+class TestGoldenTrace:
+    """Rounds replayed against :func:`reference_replay`, a from-scratch reference in integer units."""
 
     TABLE = np.array([[1, 1], [2, 2], [1, 2], [2, 1]])
     COSTS = np.array([[0.2, 0.7], [0.9, 0.1], [0.4, 0.5]])
@@ -691,55 +747,14 @@ class TestGoldenTrace:
     SEED = 2024
 
     def reference_trace(self, transductive=False, rng=None):
-        k, u, horizon, scale = 2, 2, 3, self.SCALE
-        table = self.TABLE
         rng = np.random.default_rng(self.SEED) if rng is None else rng
-        probs = np.full(u, 0.5)  # uniform context distribution over U=2
-        past = np.zeros((4,))  # per-policy cumulative estimated loss
-        trace = []
-        for t, x_t in enumerate(self.CONTEXTS, start=1):
-            n = horizon - t
-            if transductive:
-                # thin each context's count in the known suffix, context by context
-                suffix = self.CONTEXTS[t:]
-                counts = [rng.binomial(suffix.count(x), k / scale) for x in range(u)]
-            else:
-                hits = rng.binomial(n, k / scale)
-                counts = rng.multinomial(hits, probs)
-            # one scalar draw per entry, row by row: heads of action a at context x
-            sign_sums = np.empty((u, k))
-            for x in range(u):
-                for a in range(k):
-                    heads = rng.binomial(int(counts[x]), 0.5)
-                    sign_sums[x, a] = 2 * heads - int(counts[x])
-            base = past.copy()
-            for p in range(4):
-                for x in range(u):
-                    base[p] += 2.0 * scale * sign_sums[x, table[p, x] - 1]
-            minima = np.empty(k + 1)
-            minima[0] = base.min()
-            for i in range(1, k + 1):
-                minima[i] = min(
-                    base[p] + (scale if table[p, x_t] == i else 0.0) for p in range(4)
-                )
-            gaps = (minima[1:] - minima[0]) / scale
-            q = np.zeros(k)
-            m = 1.0
-            for i in range(k):
-                q[i] = min(max(gaps[i], 0.0), m)
-                m -= q[i]
-            if m > 0:
-                q[int(np.argmax(gaps))] += m
-            play = (1 - k / scale) * q + 1 / scale
-            action = int(np.minimum(np.searchsorted(np.cumsum(play), rng.random(), side="right"), k - 1)) + 1
-            cost = self.COSTS[t - 1, action - 1]
-            coin = int(rng.random() < cost / (scale * play[action - 1]))
-            if coin:
-                for p in range(4):
-                    if table[p, x_t] == action:
-                        past[p] += scale
-            trace.append((play.copy(), action, coin))
-        return trace
+        probs = None if transductive else np.full(2, 0.5)  # uniform context distribution over U=2
+        return [
+            (play, action, coin)
+            for play, action, coin, _ in reference_replay(
+                self.TABLE, 2, self.SCALE, self.CONTEXTS, self.COSTS, rng, probs
+            )
+        ]
 
     @pytest.mark.parametrize("setting", ["iid-sampler", "transductive"])
     def test_future_draw_matches_reference(self, setting):
@@ -798,3 +813,55 @@ class TestGoldenTrace:
         play, action, coin = self.reference_trace()[0]
         assert (action, coin) == (2, 1)
         np.testing.assert_allclose(play, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+
+    def test_tie_replay_fills_the_lowest_index(self):
+        # 200 seeded rounds at a scale with no short binary expansion, long
+        # enough for rounds whose K gaps are all 0: the base minimisers
+        # disagree at x_t, and the water-fill gives all its mass to action 1
+        k, u, horizon = 3, 4, 200
+        pc = random_policy_class(20, u, k, np.random.default_rng(5))
+        cfg = LearnerConfig(K=k, T=horizon, scale=tune_scale(k, horizon, 20))
+        dist = ContextDistribution.uniform(u)
+        setup = np.random.default_rng(6)
+        contexts = setup.integers(0, u, size=horizon)
+        costs = setup.random((horizon, k))
+        reference = reference_replay(
+            pc.table, k, cfg.scale, contexts, costs, np.random.default_rng(self.SEED), dist.probs
+        )
+        ties = [t for t, (_, _, _, gaps) in enumerate(reference, start=1) if not any(gaps)]
+        assert ties == [77, 102, 113, 121, 191]  # frozen from the reference for these seeds
+        lowest = (1 - k / cfg.scale) * np.eye(k)[0] + 1 / cfg.scale
+        learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
+        rng = np.random.default_rng(self.SEED)
+        for t, x_t in enumerate(contexts.tolist(), start=1):
+            rec = learner.play_round(x_t, lambda a: costs[t - 1, a - 1], rng)
+            play, action, coin, _ = reference[t - 1]
+            if t in ties:
+                np.testing.assert_allclose(rec.played_dist.probs, lowest, atol=1e-12)
+            np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
+            assert rec.played_action == action
+            assert (rec.estimate.coordinate != 0) == bool(coin)
+
+
+class TestIntegerScores:
+    """Scores of a seeded acceptance-size run: exact integer gaps, K+1 calls a round."""
+
+    def test_every_gap_is_zero_or_one(self, monkeypatch):
+        seen = []
+        original = learner_module.oracle_scores
+
+        def recording(*args):
+            scores = original(*args)
+            seen.append(scores.gaps.tolist())
+            return scores
+
+        monkeypatch.setattr(learner_module, "oracle_scores", recording)
+        # K=5, N=50, U=10, T=2000, stochastic-gap; one replication
+        config = json.loads((Path(__file__).resolve().parent.parent / "docs" / "example_config.json").read_text())
+        result = run_experiment({**config, "reps": 1})
+        assert len(seen) == 2000
+        assert result.oracle_calls_total == 2000 * (5 + 1)
+        for gaps in seen:
+            assert set(gaps) <= {0.0, 1.0} and sum(gaps) <= 1.0
+        ties = sum(not any(gaps) for gaps in seen)
+        assert 0 < ties < 2000  # rounds where the base minimisers disagree at x_t

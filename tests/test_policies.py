@@ -22,14 +22,27 @@ def action_of(policy_class, policy, context):
 
 
 def brute_force_value(policy_class, contexts, losses):
-    """Reference oracle: plain double loop over policies and examples."""
+    """Reference oracle: plain double loop over policies and examples, in the losses' own type."""
     best = None
     for p in range(policy_class.num_policies):
-        total = 0.0
+        total = 0
         for x, loss in zip(contexts, losses):
-            total += float(loss[action_of(policy_class, p, x) - 1])
+            total += loss[action_of(policy_class, p, x) - 1].item()
         best = total if best is None else min(best, total)
-    return best if best is not None else 0.0
+    return best if best is not None else 0
+
+
+def per_context_counts(contexts, losses, num_contexts):
+    """An integer example sequence summed into the (U, K) int64 query, one example at a time."""
+    query = np.zeros((num_contexts, losses.shape[1]), dtype=np.int64)
+    np.add.at(query, contexts, losses)
+    return query
+
+
+def loop_query_value(policy_class, query):
+    """Reference answer to a (U, K) integer query: a loop over contexts adds each policy's cell."""
+    totals = sum(query[x, policy_class.actions_for(x) - 1] for x in range(policy_class.num_contexts))
+    return int(totals.min())
 
 
 def loop_per_context(contexts, values, num_contexts):
@@ -74,10 +87,12 @@ class TestFlatAggregationExactness:
             assert np.array_equal(got, loop_per_context(contexts, losses, pc.num_contexts))
 
     def test_value_arrays(self):
+        # an integer example sequence, summed per context, answers as the loop over examples
         for pc, contexts, losses in exactness_instances(np.random.default_rng(12)):
             oracle = ValueOracle(pc)
-            matrix = loop_per_context(contexts, losses, pc.num_contexts)
-            assert oracle.value_arrays(matrix) == loop_value(pc, contexts, losses)
+            ints = np.rint(losses * 100.0).astype(np.int64)
+            query = per_context_counts(contexts, ints, pc.num_contexts)
+            assert oracle.value_arrays(query) == loop_value(pc, contexts, ints)
             assert oracle.stats.calls == 1
 
     def test_value_arrays_on_every_context_once(self):
@@ -85,10 +100,9 @@ class TestFlatAggregationExactness:
         rng = np.random.default_rng(13)
         for n, u, k in [(4, 2, 2), (50, 10, 5), (5000, 50, 5)]:
             pc = random_policy_class(n, u, k, rng)
-            contexts = np.arange(u)
             for _ in range(5):
-                losses = rng.normal(size=(u, k)) * 100.0
-                assert ValueOracle(pc).value_arrays(losses) == loop_value(pc, contexts, losses)
+                query = rng.integers(-(10**6), 10**6, size=(u, k))
+                assert ValueOracle(pc).value_arrays(query) == loop_query_value(pc, query)
 
     def test_best_policy_loss(self):
         for pc, contexts, costs in exactness_instances(np.random.default_rng(14)):
@@ -98,68 +112,106 @@ class TestFlatAggregationExactness:
         rng = np.random.default_rng(15)
         for u, k in [(2, 2), (10, 5), (50, 5)]:
             for n in (0, 1, 40, 700):
-                scale = float(rng.uniform(k, 3 * k))
                 counts = rng.integers(0, n + 1, size=u)
                 rho = 2 * rng.binomial(counts[:, None], 0.5, size=(u, k)) - counts[:, None]
-                expected = np.array([[2.0 * scale * float(rho[x, a]) for a in range(k)] for x in range(u)])
-                assert np.array_equal(future_loss_matrix(rho, scale), expected)
+                expected = np.array([[2 * int(rho[x, a]) for a in range(k)] for x in range(u)])
+                got = future_loss_matrix(rho)
+                assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
-def same_value(a, b):
-    return a == b or (np.isnan(a) and np.isnan(b))
+def sized_classes(rng, k):
+    """Classes one row below and exactly at the memory threshold."""
+    for u in (4, 16):
+        for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
+            yield random_policy_class(n, u, k, rng)
 
 
 class TestIncrementalOracle:
-    """An oracle that remembers its last full query answers exactly as a fresh one."""
-
-    def ask(self, oracle, losses):
-        """One query; checks the count and a fresh oracle's answer."""
-        before = oracle.stats.calls
-        got = oracle.value_arrays(losses)
-        assert oracle.stats.calls == before + 1
-        assert same_value(got, ValueOracle(oracle.policy_class).value_arrays(losses))
-        return got
-
-    def sized_classes(self, rng):
-        """Classes one row below and exactly at the memory threshold, at K=2 and 5."""
-        for k in (2, 5):
-            for u in (4, 16):
-                for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
-                    yield random_policy_class(n, u, k, rng)
+    """The oracle remembers a full query's totals, and only at or above the threshold."""
 
     def test_base_then_charges_on_both_sides_of_the_threshold(self):
         rng = np.random.default_rng(21)
-        for pc in self.sized_classes(rng):
+        for k in (2, 5):
+            for pc in sized_classes(rng, k):
+                oracle = ValueOracle(pc)
+                u = pc.num_contexts
+                for _ in range(4):
+                    base = rng.integers(-3000, 3000, size=(u, k))
+                    assert oracle.value_arrays(base) == loop_query_value(pc, base)
+                    snapshot = oracle._last
+                    if pc.num_policies * u >= REMEMBER_MIN_CELLS:
+                        assert np.array_equal(snapshot[0], base.ravel())
+                    else:
+                        assert snapshot is None
+                    x = int(rng.integers(u))
+                    for a in range(k):
+                        charged = base.copy()
+                        charged[x, a] += 1
+                        assert oracle.value_arrays(charged) == loop_query_value(pc, charged)
+                        assert oracle._last is snapshot  # a charged query leaves the memory alone
+
+
+class TestMatrixQuery:
+    """Integer queries ``value_arrays(M)`` answer as the loop over the policy table, exactly."""
+
+    def both(self, pc, oracle, query):
+        """Ask the oracle once; checks the count and returns the answer with the loop's."""
+        before = oracle.stats.calls
+        got = oracle.value_arrays(query)
+        assert oracle.stats.calls == before + 1
+        assert type(got) is int
+        return got, loop_query_value(pc, query)
+
+    def ask(self, oracle, query):
+        """One query that must equal the loop reference."""
+        got, expected = self.both(oracle.policy_class, oracle, query)
+        assert got == expected
+        return got
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_random_tables(self, k):
+        rng = np.random.default_rng(31)
+        for n, u in [(3, 2), (40, 10), (500, 20), (5000, 50)]:
+            pc = random_policy_class(n, u, k, rng)
+            for _ in range(5):
+                query = rng.integers(-1000, 1000, size=(u, k)) * 10 ** rng.integers(0, 12, size=(u, 1))
+                self.ask(ValueOracle(pc), query)
+            wide = rng.integers(-1000, 1000, size=(u, 2 * k))
+            self.ask(ValueOracle(pc), wide[:, ::2])  # a non-contiguous matrix
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_base_then_charges_on_both_sides_of_the_threshold(self, k):
+        rng = np.random.default_rng(33)
+        for pc in sized_classes(rng, k):
             oracle = ValueOracle(pc)
-            u, k = pc.num_contexts, pc.num_actions
-            for _ in range(4):
-                base = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
+            u = pc.num_contexts
+            for _ in range(3):
+                base = rng.integers(-3000, 3000, size=(u, k))
                 self.ask(oracle, base)
-                snapshot = oracle._last
-                assert (snapshot is None) == (pc.num_policies * u < REMEMBER_MIN_CELLS)
                 x = int(rng.integers(u))
                 for a in range(k):
-                    charged = base.copy()
-                    charged[x, a] += float(rng.uniform(k, 3 * k))
-                    self.ask(oracle, charged)
-                    assert oracle._last is snapshot  # a charged query leaves the memory alone
+                    # the learner's one coin, or any other one-cell change up or down
+                    for delta in (1, int(rng.integers(-(10**9), 10**9))):
+                        charged = base.copy()
+                        charged[x, a] += delta
+                        self.ask(oracle, charged)
 
     def test_repeat_two_cells_and_new_base(self):
         rng = np.random.default_rng(22)
         pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
         oracle = ValueOracle(pc)
-        base = rng.normal(size=(8, 5))
+        base = rng.integers(-50, 50, size=(8, 5))
         self.ask(oracle, base)
         self.ask(oracle, base.copy())  # no cell differs: a full gather
         two = base.copy()
-        two[1, 0] += 7.0
-        two[5, 3] += 7.0
+        two[1, 0] += 7
+        two[5, 3] += 7
         self.ask(oracle, two)  # two cells differ: a full gather, remembered
         assert np.array_equal(oracle._last[0], two.ravel())
-        fresh = rng.normal(size=(8, 5))
+        fresh = rng.integers(-50, 50, size=(8, 5))
         self.ask(oracle, fresh)
         charged = fresh.copy()
-        charged[2, 4] += 7.0
+        charged[2, 4] += 1
         self.ask(oracle, charged)
 
     @pytest.mark.parametrize("k", [2, 5])
@@ -170,29 +222,27 @@ class TestIncrementalOracle:
         table[:, 0] = rng.integers(1, k, size=n)  # nobody plays action k on context 0
         table[:, 1] = 1  # everybody plays action 1 on context 1
         oracle = ValueOracle(PolicyClass(table=table, num_actions=k))
-        base = rng.normal(size=(u, k))
+        base = rng.integers(-50, 50, size=(u, k))
         for x, a in [(0, k - 1), (1, 0)]:
-            self.ask(oracle, base)
+            low = self.ask(oracle, base)
             charged = base.copy()
-            charged[x, a] += 5.0
-            self.ask(oracle, charged)
+            charged[x, a] += 5
+            assert self.ask(oracle, charged) == low + (5 if x == 1 else 0)
 
-    def test_nan_cells(self):
-        rng = np.random.default_rng(24)
-        pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
+    def test_caller_mutating_the_matrix_after_the_call(self):
+        # the memory must hold its own copy: had it kept a view of ``base``,
+        # the next query, one cell off the mutated matrix, would be answered
+        # from totals of the unmutated one
+        rng = np.random.default_rng(34)
+        u, k = 8, 5
+        pc = random_policy_class(REMEMBER_MIN_CELLS // u, u, k, rng)
         oracle = ValueOracle(pc)
-        base = rng.normal(size=(8, 5))
-        self.ask(oracle, base)
-        for x, a in [(3, 2), (3, 3)]:
+        for x1, a1, x2, a2 in [(0, 0, 1, 1), (3, 4, 3, 2), (7, 1, 2, 0)]:
+            base = rng.integers(-50, 50, size=(u, k))
+            oracle.value_arrays(base)
+            base[x1, a1] -= 100  # mutated in place after the call
             charged = base.copy()
-            charged[x, a] = np.nan  # the one differing cell is NaN
-            assert np.isnan(self.ask(oracle, charged))
-        with_nan = base.copy()
-        with_nan[6, 1] = np.nan  # a NaN in the remembered query itself
-        self.ask(oracle, with_nan)
-        for a in range(5):
-            charged = with_nan.copy()
-            charged[6, a] += 5.0
+            charged[x2, a2] += 1
             self.ask(oracle, charged)
 
     def test_concurrent_queries_stay_exact(self):
@@ -200,13 +250,13 @@ class TestIncrementalOracle:
         pc = random_policy_class(REMEMBER_MIN_CELLS // 8, 8, 5, rng)
         queries = []
         for _ in range(6):
-            base = rng.normal(size=(8, 5))
+            base = rng.integers(-50, 50, size=(8, 5))
             queries.append(base)
             for a in range(5):
                 charged = base.copy()
-                charged[int(rng.integers(8)), a] += 5.0
+                charged[int(rng.integers(8)), a] += 1
                 queries.append(charged)
-        expected = [ValueOracle(pc).value_arrays(q) for q in queries]
+        expected = [loop_query_value(pc, q) for q in queries]
         oracle = ValueOracle(pc)
         wrong = []
 
@@ -230,102 +280,24 @@ class TestIncrementalOracle:
         assert wrong == []
         assert oracle.stats.calls == 240
 
-
-def bits(value):
-    """The 64 bits of a float, so that NaNs and signed zeros compare exactly."""
-    return int(np.float64(value).view(np.uint64))
-
-
-class TestMatrixQuery:
-    """``value_arrays(M)`` answers as the per-action loop over contexts ``arange(U)``, bit for bit."""
-
-    def both(self, pc, oracle, losses):
-        """Ask the oracle once; checks the count and returns it with the loop's answer."""
-        before = oracle.stats.calls
-        got = oracle.value_arrays(losses)
-        assert oracle.stats.calls == before + 1
-        return got, loop_value(pc, np.arange(pc.num_contexts), losses)
-
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_random_tables(self, k):
-        rng = np.random.default_rng(31)
-        for n, u in [(3, 2), (40, 10), (500, 20), (5000, 50)]:
-            pc = random_policy_class(n, u, k, rng)
-            for _ in range(5):
-                losses = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
-                got, expected = self.both(pc, ValueOracle(pc), losses)
-                assert got == expected
-            wide = rng.normal(size=(u, 2 * k))
-            got, expected = self.both(pc, ValueOracle(pc), wide[:, ::2])
-            assert got == expected  # a non-contiguous matrix
-
-    def test_nan_and_negative_zero_cells(self):
-        rng = np.random.default_rng(32)
-        for n, u, k in [(4, 2, 2), (40, 10, 5)]:
-            pc = random_policy_class(n, u, k, rng)
-            for fill in (np.nan, -0.0):
-                losses = rng.normal(size=(u, k))
-                losses[rng.random((u, k)) < 0.3] = fill
-                losses[0] = fill  # every policy reads one such cell
-                got, expected = self.both(pc, ValueOracle(pc), losses)
-                assert bits(got) == bits(expected)
-            zeros = np.full((u, k), -0.0)
-            got, expected = self.both(pc, ValueOracle(pc), zeros)
-            assert bits(got) == bits(expected) == bits(0.0)
-
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_base_then_charges_on_both_sides_of_the_threshold(self, k):
-        rng = np.random.default_rng(33)
-        for u in (4, 16):
-            for n in (REMEMBER_MIN_CELLS // u - 1, REMEMBER_MIN_CELLS // u):
-                pc = random_policy_class(n, u, k, rng)
-                oracle = ValueOracle(pc)
-                for _ in range(3):
-                    base = rng.normal(size=(u, k)) * 10.0 ** rng.integers(-3, 4, size=(u, 1))
-                    special = rng.random((u, k))
-                    base[special < 0.1] = np.nan
-                    base[special > 0.9] = -0.0  # the memory holds +0.0, as the loop's bincount gives
-                    queries = [base]
-                    x = int(rng.integers(u))
-                    for a in range(k):
-                        charged = base.copy()
-                        charged[x, a] += float(rng.uniform(k, 3 * k))
-                        queries.append(charged)
-                    for losses in queries:
-                        got, expected = self.both(pc, oracle, losses)
-                        assert bits(got) == bits(expected)
-                    if n * u >= REMEMBER_MIN_CELLS:
-                        cells = loop_per_context(np.arange(u), base, u).ravel()
-                        assert np.array_equal(oracle._last[0].view(np.uint64), cells.view(np.uint64))
-                    else:
-                        assert oracle._last is None
-
-    def test_caller_mutating_the_matrix_after_the_call(self):
-        # the memory must hold its own copy: had it kept a view of ``base``,
-        # the next query, one cell off the mutated matrix, would re-sum only
-        # that cell's readers on top of totals of the unmutated one
-        rng = np.random.default_rng(34)
-        u, k = 8, 5
-        pc = random_policy_class(REMEMBER_MIN_CELLS // u, u, k, rng)
-        oracle = ValueOracle(pc)
-        for x1, a1, x2, a2 in [(0, 0, 1, 1), (3, 4, 3, 2), (7, 1, 2, 0)]:
-            base = rng.normal(size=(u, k))
-            oracle.value_arrays(base)
-            base[x1, a1] -= 100.0  # mutated in place after the call
-            charged = base.copy()
-            charged[x2, a2] += 7.0
-            got = oracle.value_arrays(charged)
-            assert got == ValueOracle(pc).value_arrays(charged)
-            assert got == loop_value(pc, np.arange(u), charged)
-
     def test_wrong_shape_rejected(self):
         pc = PolicyClass(table=np.array([[1, 2], [2, 1], [1, 1]]), num_actions=2)
         oracle = ValueOracle(pc)
         bad_shapes = [(2, 3), (1, 2), (3, 2), (4,)]  # the class is N=3, U=2, K=2
         for calls, shape in enumerate(bad_shapes, start=1):
             with pytest.raises(ValueError, match="shape"):
-                oracle.value_arrays(np.zeros(shape))
+                oracle.value_arrays(np.zeros(shape, dtype=np.int64))
             assert oracle.stats.calls == calls
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int32])
+    def test_other_dtype_rejected_and_counted(self, dtype):
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1], [1, 1]]), num_actions=2)
+        oracle = ValueOracle(pc)
+        with pytest.raises(TypeError, match="int64"):
+            oracle.value_arrays(np.ones((2, 2), dtype=dtype))
+        assert oracle.stats.calls == 1
+        assert oracle.value_arrays(np.ones((2, 2), dtype=np.int64)) == 2
+        assert oracle.stats.calls == 2
 
 
 class TestPolicyClass:
@@ -368,14 +340,14 @@ class TestValueOracle:
         # constant policies x->1 and x->2; one example with losses (0.3, 0.7)
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        value = oracle.value_arrays(np.array([[0.3, 0.7]]))
-        assert value == pytest.approx(0.3)
+        value = oracle.value_arrays(np.array([[3, 7]]))
+        assert value == 3
 
     def test_singleton_class_exact_sum(self):
         pc = PolicyClass(table=np.array([[2, 1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        losses = np.array([[0.1, 0.9], [0.5, 0.8], [0.4, 0.2]])  # row x: losses at context x
-        assert oracle.value_arrays(losses) == pytest.approx(0.9 + 0.5 + 0.2)
+        losses = np.array([[1, 9], [5, 8], [4, 2]])  # row x: losses at context x
+        assert oracle.value_arrays(losses) == 9 + 5 + 2
 
     def test_matches_brute_force_on_random_inputs(self):
         rng = np.random.default_rng(1)
@@ -385,22 +357,21 @@ class TestValueOracle:
             oracle = ValueOracle(pc)
             m = int(rng.integers(0, 12))
             contexts = rng.integers(0, u, size=m)
-            losses = rng.normal(size=(m, k))
-            assert oracle.value_arrays(context_action_sums(contexts, losses, u)) == pytest.approx(
-                brute_force_value(pc, contexts, losses)
-            )
+            losses = rng.integers(-100, 100, size=(m, k))
+            query = per_context_counts(contexts, losses, u)
+            assert oracle.value_arrays(query) == brute_force_value(pc, contexts, losses)
 
     def test_call_accounting(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
         for expect in range(1, 6):
-            oracle.value_arrays(np.array([[0.5, 0.5], [0.0, 0.0]]))
+            oracle.value_arrays(np.array([[5, 5], [0, 0]]))
             assert oracle.stats.calls == expect
 
     def test_concurrent_increments_not_lost(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
         oracle = ValueOracle(pc)
-        losses = np.array([[0.1, 0.2], [0.3, 0.4]])
+        losses = np.array([[1, 2], [3, 4]])
 
         def worker():
             for _ in range(200):
