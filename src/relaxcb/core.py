@@ -10,8 +10,8 @@ Conventions used throughout the package:
   and consumes a documented number of draws, so runs are bit-reproducible
   given a seed.  Generators are never shared between threads.
 * Probability vectors are validated against a fixed simplex tolerance and
-  renormalized by the public constructors; the round engine checks its play
-  distribution once.  Nothing renormalizes silently: bad input fails loudly.
+  renormalized by the public constructors, which build the learner's plays
+  once per config.  Nothing renormalizes silently: bad input fails loudly.
 
 All types here are immutable value objects, safe to share across threads.
 """
@@ -34,8 +34,10 @@ FLOOR_ATOL = 1e-12
 
 
 def check_context(x_t: Context, num_contexts: int) -> None:
-    """Reject a context id that is not an integer in ``0..num_contexts-1``."""
+    """Reject a context id that is not an integer in ``0..num_contexts-1``; a bool is no id."""
     try:
+        if isinstance(x_t, bool):  # operator.index(True) is 1
+            raise TypeError
         operator.index(x_t)
     except TypeError:
         raise TypeError(f"context id {x_t} is not an integer") from None
@@ -71,16 +73,6 @@ def check_simplex(probs) -> np.ndarray:
     probs = probs / probs.sum()
     probs.flags.writeable = False
     return probs
-
-
-def unchecked(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields`` the caller has checked; arrays become read-only."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the probs array

@@ -62,13 +62,17 @@ def theoretical_bound(num_actions: int, horizon: int, scale: float, num_policies
 _TOP_KEYS = {"K", "T", "L", "learner", "policyClass", "environment", "reps", "seed"}
 
 
+def _check_fields(obj: dict, known: set, prefix: str = "") -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", f"unknown field (expected one of {sorted(known)})")
+
+
 def validate_config(config: dict) -> dict:
     """Normalize a run config, raising :class:`ConfigError` with field paths."""
     if not isinstance(config, dict):
         raise ConfigError("<config>", "must be a JSON object")
-    for key in config:
-        if key not in _TOP_KEYS:
-            raise ConfigError(key, f"unknown field (expected one of {sorted(_TOP_KEYS)})")
+    _check_fields(config, _TOP_KEYS)
     cfg = copy.deepcopy(config)
 
     k = _require_int(cfg, "K", minimum=2)
@@ -93,6 +97,7 @@ def validate_config(config: dict) -> dict:
         raise ConfigError("policyClass", "must be an object")
     pc_type = pc.get("type")
     if pc_type == "table":
+        _check_fields(pc, {"type", "seed", "N", "U", "K"}, "policyClass.")
         _require_int(pc, "N", minimum=1, path="policyClass.N")
         _require_int(pc, "U", minimum=1, path="policyClass.U")
         _require_int(pc, "seed", minimum=0, path="policyClass.seed")
@@ -100,6 +105,7 @@ def validate_config(config: dict) -> dict:
         if pc["K"] != k:
             raise ConfigError("policyClass.K", f"must equal top-level K={k}, got {pc['K']}")
     elif pc_type == "explicit":
+        _check_fields(pc, {"type", "table"}, "policyClass.")
         table = pc.get("table")
         if not isinstance(table, list) or not table or not all(isinstance(r, list) for r in table):
             raise ConfigError("policyClass.table", "must be a non-empty list of rows")
@@ -123,12 +129,14 @@ def validate_config(config: dict) -> dict:
     env = cfg.get("environment")
     if not isinstance(env, dict):
         raise ConfigError("environment", "must be an object")
+    _check_fields(env, {"context", "adversary", "transductive"}, "environment.")
     env.setdefault("transductive", False)
     if not isinstance(env["transductive"], bool):
         raise ConfigError("environment.transductive", "must be a boolean")
     ctx = env.get("context")
     if not isinstance(ctx, dict):
         raise ConfigError("environment.context", "must be an object")
+    _check_fields(ctx, {"U", "probs", "seed"}, "environment.context.")
     u = _require_int(ctx, "U", minimum=1, path="environment.context.U")
     ctx.setdefault("probs", "uniform")
     probs = ctx["probs"]
@@ -149,6 +157,7 @@ def validate_config(config: dict) -> dict:
     adv = env.get("adversary")
     if not isinstance(adv, dict):
         raise ConfigError("environment.adversary", "must be an object")
+    _check_fields(adv, {"type", "delta", "period", "seed"}, "environment.adversary.")
     if adv.get("type") not in ADVERSARY_TYPES:
         raise ConfigError(
             "environment.adversary.type",

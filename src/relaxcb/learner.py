@@ -13,7 +13,8 @@ coin count (``past_loss_matrix``), the future is ``2 * rho`` for the sign
 sums ``rho`` drawn in law in O(U*K) work (``sample_future``), and a charged
 query adds 1 at ``(x_t, a)``.  The oracle's answers are exact integers, so
 every gap is exactly 0 or 1, at most one is 1, and a tie (all gaps 0: the
-base minimisers disagree at ``x_t``) fills the lowest index.
+base minimisers disagree at ``x_t``) fills the lowest index: a round plays
+one of the K ``LearnerConfig.vertex_plays``.
 
 Randomness contract (one round with ``n`` remaining rounds consumes, in
 order):
@@ -33,6 +34,7 @@ This fixed order makes full traces reproducible by hand from the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -40,8 +42,6 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .core import (
-    FLOOR_ATOL,
-    SIMPLEX_ATOL,
     ActionDistribution,
     ActionIndex,
     Context,
@@ -49,7 +49,6 @@ from .core import (
     build_estimate,
     check_context,
     draw_estimator_coin,
-    unchecked,
 )
 from .environments import ContextDistribution, ContextSequence
 from .policies import PolicyClass, ValueOracle
@@ -80,6 +79,12 @@ class LearnerConfig:
             raise ValueError(f"horizon must be >= 1, got T={self.T}")
         if not self.scale >= self.K:
             raise ValueError(f"scale must be >= K, got scale={self.scale}, K={self.K}")
+
+    @functools.cached_property  # not a field, so ``==`` and ``hash`` see K, T and scale only
+    def vertex_plays(self) -> tuple[ActionDistribution, ...]:
+        """The K plays of :func:`play_distribution`: entry ``a-1`` is ``(1 - K/scale) * e_a + 1/scale``."""
+        mix = 1.0 - self.K / self.scale
+        return tuple(ActionDistribution(mix * vertex + 1.0 / self.scale) for vertex in np.eye(self.K))
 
 
 def tune_scale(num_actions: int, horizon: int, num_policies: int) -> float:
@@ -247,7 +252,7 @@ def oracle_scores(
         charged[x_t, a] += 1
         minima.append(oracle.value_arrays(charged))
     gaps = np.array([float(m - minima[0]) for m in minima[1:]])
-    return unchecked(OracleScores, minima=config.scale * np.array(minima, dtype=float), gaps=gaps)
+    return OracleScores(minima=config.scale * np.array(minima, dtype=float), gaps=gaps)
 
 
 def water_fill(gaps) -> ActionDistribution:
@@ -261,11 +266,6 @@ def water_fill(gaps) -> ActionDistribution:
     gaps = np.asarray(gaps, dtype=float)
     if gaps.ndim != 1 or gaps.size == 0 or not np.all(np.isfinite(gaps)):
         raise ValueError("gaps must be a finite 1-d vector")
-    return ActionDistribution(_fill(gaps))
-
-
-def _fill(gaps: np.ndarray) -> np.ndarray:
-    """The arithmetic of :func:`water_fill` on a checked gap vector, in Python floats."""
     gaps = gaps.tolist()
     q = []
     m = 1.0
@@ -275,7 +275,7 @@ def _fill(gaps: np.ndarray) -> np.ndarray:
         m -= fill
     if m > 0.0:
         q[gaps.index(max(gaps))] += m  # the first of the largest gaps
-    return np.array(q)
+    return ActionDistribution(np.array(q))
 
 
 def inner_sup_value(dist: ActionDistribution | np.ndarray, scores: OracleScores, scale: float) -> float:
@@ -312,19 +312,16 @@ def inner_sup_values(prob_rows: np.ndarray, scores: OracleScores, scale: float) 
 def play_distribution(scores: OracleScores, config: LearnerConfig) -> ActionDistribution:
     """Water-fill the gaps, then mix with uniform for the exploration floor.
 
-    Returns ``(1 - K/scale) * water_fill(gaps) + (1/scale) * ones``; every
-    coordinate ends up at least ``1/scale``.  Both steps clip and renormalize
-    bit for bit as :class:`ActionDistribution` would, but are checked once:
-    the fill sums to 1 (a NaN fails too) and the result keeps the floor.
+    Integer scores make the gaps a vertex: K entries, each 0 or 1, at most
+    one 1.  Its water-fill is ``e_a`` for the action ``a`` with gap 1, else
+    ``e_1`` (the lowest-index tie rule), so the play is the config's
+    ``vertex_plays[a-1]``.  Any other gap vector is rejected.
     """
-    filled = np.maximum(_fill(scores.gaps), 0.0)  # np.clip(x, 0.0, None) runs this ufunc
-    fill_total = float(filled.sum())
-    floor = 1.0 / config.scale
-    probs = np.maximum((1.0 - config.K / config.scale) * (filled / fill_total) + floor, 0.0)
-    probs = probs / probs.sum()
-    if not (abs(fill_total - 1.0) <= SIMPLEX_ATOL and probs.min() >= floor - FLOOR_ATOL):
-        raise ValueError(f"play distribution {probs} is off the simplex or below the 1/scale floor {floor}")
-    return unchecked(ActionDistribution, probs=probs)
+    gaps = scores.gaps.tolist()
+    ones = gaps.count(1.0)
+    if len(gaps) != config.K or ones > 1 or ones + gaps.count(0.0) != len(gaps):
+        raise ValueError(f"gaps {gaps} are not a vertex of {config.K} actions: each 0 or 1, at most one 1")
+    return config.vertex_plays[gaps.index(1.0) if ones else 0]
 
 
 def relaxation_value(

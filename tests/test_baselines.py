@@ -43,8 +43,9 @@ class TestExp4:
             (-1, ValueError, "context id -1 outside 0..2 of a 3-context class"),
             (3, ValueError, "context id 3 outside 0..2 of a 3-context class"),
             (1.0, TypeError, "context id 1.0 is not an integer"),
+            (True, TypeError, "context id True is not an integer"),
         ],
-        ids=["negative", "U", "float"],
+        ids=["negative", "U", "float", "bool"],
     )
     def test_context_outside_the_class_rejected(self, x_t, error, message):
         pc = random_policy_class(6, 3, 2, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Command-line interface: run and verify subcommands."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,23 @@ class TestRunCommand:
         code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error: L: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path",
+        ["policyClass.n", "environment.transductiv", "environment.context.prob", "environment.adversary.delt"],
+    )
+    def test_nested_typo_in_example_config(self, tmp_path, capsys, path):
+        config = json.loads((Path(__file__).resolve().parents[1] / "docs" / "example_config.json").read_text())
+        *parents, key = path.split(".")
+        obj = config
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = 1
+        config_file = tmp_path / "typo.json"
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [1.5, True, None, 0, 3])
     def test_explicit_table_entries(self, config_file, tmp_path, capsys, entry):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -69,6 +70,13 @@ class TestConfigValidation:
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
             validate_config(small_config(bogus=1))
+
+    def test_explicit_table_takes_no_table_fields(self):
+        cfg = small_config()
+        cfg["policyClass"] = {"type": "explicit", "table": [[1, 2, 1], [2, 1, 2]], "N": 2}
+        message = "policyClass.N: unknown field (expected one of ['table', 'type'])"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate_config(cfg)
 
     def test_field_paths_in_messages(self):
         cfg = small_config()

@@ -1,8 +1,10 @@
-"""Learner operations: tuning, sampling, scoring, water-filling, stepping."""
+"""Learner operations: tuning, sampling, scoring, water-filling, vertex plays, stepping."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from relaxcb import (
     water_fill,
 )
 from relaxcb import learner as learner_module
-from relaxcb.core import unchecked
 from relaxcb.learner import past_loss_matrix
 from relaxcb.verify import brute_force_minimax
 
@@ -368,62 +369,72 @@ class TestInnerSupValue:
         np.testing.assert_array_equal(np.argsort(values), np.argsort(residuals))
 
 
-class TestPlayDistribution:
+def vertex_gaps(k):
+    """Every vertex gap vector of ``k`` actions: all zeros, then each one-hot in action order."""
+    return [np.zeros(k)] + list(np.eye(k))
+
+
+class TestVertexPlay:
+    """A round plays one of K distributions, built and validated once per config."""
+
     def test_mixing_arithmetic(self):
-        # water-fill output (0.6, 0.4) mixed at K/scale = 0.5 with uniform
-        scores = make_scores([0.0, 4 * 0.6, 4 * 0.4], scale=4.0)
+        # vertex e_1 mixed at K/scale = 0.5 with uniform: 0.5 * (1, 0) + 0.25
+        scores = make_scores([0.0, 4.0, 0.0], scale=4.0)
         dist = play_distribution(scores, LearnerConfig(K=2, T=5, scale=4.0))
-        np.testing.assert_allclose(dist.probs, [0.55, 0.45])
+        np.testing.assert_allclose(dist.probs, [0.75, 0.25])
 
     def test_scale_equal_actions_gives_uniform(self):
-        rng = np.random.default_rng(7)
-        scores = make_scores(rng.normal(size=3), scale=2.0)
-        dist = play_distribution(scores, LearnerConfig(K=2, T=5, scale=2.0))
-        np.testing.assert_allclose(dist.probs, 0.5)
-
-    def test_floor_holds_on_random_scores(self):
-        rng = np.random.default_rng(8)
-        cfg = LearnerConfig(K=4, T=5, scale=9.0)
-        for _ in range(1000):
-            scores = make_scores(rng.normal(0, 9, size=5), scale=9.0)
-            dist = play_distribution(scores, cfg)
-            assert dist.probs.min() >= 1 / 9.0 - 1e-12
-            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestCombinedCheck:
-    """The round's play distribution is built and checked once, bit for bit as before."""
-
-    def gap_vectors(self, rng, k):
-        """Random gaps plus ties, zeros, -0.0, an exact fill of 1, and huge or tiny values."""
-        for _ in range(200):
-            kind = int(rng.integers(6))
-            if kind == 0:
-                gaps = rng.normal(0.0, 2.0, size=k)
-            elif kind == 1:
-                gaps = rng.dirichlet(np.ones(k))  # fills to 1 up to rounding
-            elif kind == 2:
-                gaps = rng.choice([-0.0, 0.0, 0.25, 0.5, -1.0], size=k)  # ties and signed zeros
-            elif kind == 3:
-                gaps = rng.normal(size=k) * 10.0 ** rng.integers(-17, 3, size=k)
-            elif kind == 4:
-                gaps = rng.normal(size=k) * 1e300
-            else:
-                gaps = rng.random(k) / k
-            yield gaps
+        cfg = LearnerConfig(K=2, T=5, scale=2.0)
+        for gaps in vertex_gaps(2):
+            dist = play_distribution(OracleScores(minima=np.zeros(3), gaps=gaps), cfg)
+            np.testing.assert_allclose(dist.probs, 0.5)
 
     @pytest.mark.parametrize("k,scale", [(2, 2.0), (2, 7.3), (3, 4.5), (5, 5.0), (5, 13.67), (8, 40.0)])
     def test_bit_identical_to_two_validated_distributions(self, k, scale):
-        rng = np.random.default_rng(k * 100 + int(scale))
         cfg = LearnerConfig(K=k, T=10, scale=scale)
         mix = 1.0 - k / scale
-        for gaps in self.gap_vectors(rng, k):
-            scores = OracleScores(minima=np.zeros(k + 1), gaps=gaps)
-            got = play_distribution(scores, cfg)
+        for gaps in vertex_gaps(k):
+            got = play_distribution(OracleScores(minima=np.zeros(k + 1), gaps=gaps), cfg)
             old = ActionDistribution(mix * water_fill(gaps).probs + 1.0 / scale)
             assert np.array_equal(got.probs.view(np.uint64), old.probs.view(np.uint64))
             assert not got.probs.flags.writeable
             assert got.probs.min() >= 1.0 / scale - 1e-12
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [[0.6, 0.4, 0.0], [1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0]],
+        ids=["fractional", "two-ones", "nan", "negative", "wrong-length"],
+    )
+    def test_non_vertex_gaps_rejected(self, gaps):
+        # a stand-in for scores, because OracleScores itself rejects a NaN gap
+        scores = SimpleNamespace(gaps=np.array(gaps))
+        with pytest.raises(ValueError, match="not a vertex of 3 actions"):
+            play_distribution(scores, LearnerConfig(K=3, T=5, scale=4.0))
+
+    def test_every_round_plays_a_vertex(self, monkeypatch):
+        original = RelaxationLearner.play_round
+        plays = []
+
+        def recording(self, *args):
+            record = original(self, *args)
+            plays.append(any(record.played_dist is play for play in self.config.vertex_plays))
+            return record
+
+        monkeypatch.setattr(RelaxationLearner, "play_round", recording)
+        # K=5, N=50, U=10, T=2000, stochastic-gap; one replication
+        config = json.loads((Path(__file__).resolve().parent.parent / "docs" / "example_config.json").read_text())
+        run_experiment({**config, "reps": 1})
+        assert len(plays) == 2000 and all(plays)
+
+    def test_plays_are_not_a_field(self):
+        cfg = LearnerConfig(K=3, T=5, scale=4.0)
+        plays = cfg.vertex_plays
+        assert cfg.vertex_plays is plays  # built once
+        twin = LearnerConfig(K=3, T=5, scale=4.0)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        wider = dataclasses.replace(cfg, scale=6.0)
+        assert wider.vertex_plays is not plays
+        np.testing.assert_allclose(wider.vertex_plays[0].probs, [0.5 + 1 / 6, 1 / 6, 1 / 6])
 
     def test_engine_scores_match_from_minima(self):
         rng = np.random.default_rng(41)
@@ -437,13 +448,6 @@ class TestCombinedCheck:
             np.testing.assert_allclose(scores.gaps, expected.gaps, rtol=0.0, atol=1e-12)
             assert set(scores.gaps.tolist()) <= {0.0, 1.0}
             assert not (scores.minima.flags.writeable or scores.gaps.flags.writeable)
-
-    def test_non_finite_gaps_fail_the_check(self):
-        # gaps that bypassed the scores' own check are still caught once, at the end
-        cfg = LearnerConfig(K=2, T=5, scale=3.0)
-        scores = unchecked(OracleScores, minima=np.zeros(3), gaps=np.array([np.nan, 0.5]))
-        with pytest.raises(ValueError, match="simplex"):
-            play_distribution(scores, cfg)
 
 
 class TestRelaxationValue:
@@ -661,8 +665,12 @@ class TestStep:
             (ContextDistribution.uniform(3), 1.0, TypeError),
             (ContextSequence(np.array([1, 2, 0]), 3), 3, ValueError),
             (ContextSequence(np.array([1, 2, 0]), 3), 1.0, TypeError),  # 1.0 == the known id 1
+            (ContextDistribution.uniform(3), True, TypeError),  # operator.index(True) is 1
+            (ContextSequence(np.array([1, 2, 0]), 3), True, TypeError),  # True == the known id 1
         ],
-        ids=["iid-outside", "iid-float", "transductive-outside", "transductive-float"],
+        ids=[
+            "iid-outside", "iid-float", "transductive-outside", "transductive-float", "iid-bool", "transductive-bool"
+        ],
     )
     def test_rejected_round_draws_nothing(self, source, x_t, error):
         pc, cfg, _ = self.setup_instance(u=3)
