@@ -99,20 +99,17 @@ class ActionDistribution:
 
 @dataclass(frozen=True)
 class EstimatedCost:
-    """Discretized importance-weighted cost estimate.
+    """Discretized importance-weighted cost estimate, in coin units.
 
     A realized estimate is either the zero vector (``coordinate == 0``) or
-    equal to ``scale`` at exactly one action's coordinate; no other values
-    occur.  Keeping (scale, coordinate) instead of a dense vector makes the
-    invariant structural.
+    one coin at exactly one action's coordinate; no other values occur.
+    Keeping the coordinate instead of a dense vector makes the invariant
+    structural; a coin is worth the learner config's ``scale``.
     """
 
-    scale: float
     coordinate: int  # 0 for the zero vector, else the 1-based action
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
         if self.coordinate < 0:
             raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
 
@@ -157,10 +154,10 @@ def draw_estimator_coin(cost: float, prob: float, scale: float, rng: np.random.G
     return int(rng.random() < p)
 
 
-def build_estimate(played: ActionIndex, coin: int, scale: float) -> EstimatedCost:
+def build_estimate(played: ActionIndex, coin: int) -> EstimatedCost:
     """Assemble the estimate for one round from the played action and its coin."""
     if played < 1:
         raise ValueError(f"played action must be >= 1, got {played}")
     if coin not in (0, 1):
         raise ValueError(f"coin must be 0 or 1, got {coin}")
-    return EstimatedCost(scale=scale, coordinate=played if coin else 0)
+    return EstimatedCost(coordinate=played if coin else 0)

@@ -7,6 +7,7 @@ small so exhaustive policy tables remain tractable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +140,16 @@ def make_adversary(
 
 
 def _get_delta(spec: dict) -> float:
+    """``spec["delta"]``: a number in [0, 1] by ``harness.validate_config``'s rule (a bool is none)."""
     delta = spec.get("delta")
-    if delta is None or not 0.0 <= float(delta) <= 1.0:
-        raise ValueError(f"adversary delta must lie in [0, 1], got {delta!r}")
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real) or not 0.0 <= delta <= 1.0:
+        raise ValueError(f"adversary delta must be a number in [0, 1], got {delta!r}")
     return float(delta)
 
 
 def _get_period(spec: dict) -> int:
+    """``spec["period"]``: an integer >= 1 by ``harness.validate_config``'s rule (a bool is none)."""
     period = spec.get("period")
-    if period is None or int(period) < 1:
+    if isinstance(period, bool) or not isinstance(period, numbers.Integral) or period < 1:
         raise ValueError(f"adversary period must be a positive integer, got {period!r}")
     return int(period)

@@ -142,6 +142,8 @@ def validate_config(config: dict) -> dict:
     probs = ctx["probs"]
     if probs == "random":
         _require_int(ctx, "seed", minimum=0, path="environment.context.seed")
+    elif "seed" in ctx:
+        raise ConfigError("environment.context.seed", "is read only with probs 'random'")
     elif probs != "uniform":
         if not isinstance(probs, list) or len(probs) != u:
             raise ConfigError(
@@ -163,6 +165,9 @@ def validate_config(config: dict) -> dict:
             "environment.adversary.type",
             f"must be one of {ADVERSARY_TYPES}, got {adv.get('type')!r}",
         )
+    unread = {"stochastic-gap": "period", "drifting": "delta"}.get(adv["type"])
+    if unread in adv:
+        raise ConfigError(f"environment.adversary.{unread}", f"is not read by a {adv['type']} adversary")
     if adv["type"] in ("stochastic-gap", "policy-targeted"):
         delta = adv.get("delta")
         if not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0 <= delta <= 1:

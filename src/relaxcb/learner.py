@@ -2,19 +2,20 @@
 
 Each round the learner draws fresh randomness for the remaining rounds,
 asks the value oracle K+1 questions about the history extended by that
-randomness, turns the answers into a distribution by water-filling, mixes
-with the uniform distribution for exploration, plays, and finally records a
-discretized importance-weighted estimate of the observed cost.  The oracle
-budget is exactly K+1 calls per round.
+randomness, picks one of K prebuilt plays (the water-fill of the answers'
+integer gaps, mixed with uniform for exploration), plays, and finally
+records a discretized importance-weighted estimate of the observed cost.
+The oracle budget is exactly K+1 calls per round.
 
 Every loss shown to the oracle is a whole multiple of ``scale``, so the
 learner scores in those units on (U, K) int64 matrices: the past is the
 coin count (``past_loss_matrix``), the future is ``2 * rho`` for the sign
-sums ``rho`` drawn in law in O(U*K) work (``sample_future``), and a charged
-query adds 1 at ``(x_t, a)``.  The oracle's answers are exact integers, so
-every gap is exactly 0 or 1, at most one is 1, and a tie (all gaps 0: the
-base minimisers disagree at ``x_t``) fills the lowest index: a round plays
-one of the K ``LearnerConfig.vertex_plays``.
+sums ``rho`` drawn in law (``sample_future``: O(U*K), plus O(T-t) to count
+a ``ContextSequence``'s known suffix), and a charged query adds 1 at
+``(x_t, a)``.  The oracle's answers stay Python ints, so every gap is
+exactly 0 or 1, at most one is 1, and a tie (all gaps 0: the base
+minimisers disagree at ``x_t``) fills the lowest index: a round plays one
+of the K ``LearnerConfig.vertex_plays``.
 
 Randomness contract (one round with ``n`` remaining rounds consumes, in
 order):
@@ -113,13 +114,13 @@ def in_tuning_regime(num_actions: int, horizon: int, num_policies: int) -> bool:
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the minima and gaps arrays
 class OracleScores:
-    """The K+1 oracle answers for one round and their normalized gaps.
+    """Real-valued oracle minima and their normalized gaps, for the minimax checks.
 
     ``minima[i]`` is the best cumulative loss over the class when an extra
     ``scale``-sized charge on action ``i`` at the current context is added
     to the sequence (``minima[0]``: no charge).  ``gaps[i-1]`` is
     ``(minima[i] - minima[0]) / scale``, the normalized price of action
-    ``i`` this round, exactly 0.0 or 1.0 from :func:`oracle_scores`.
+    ``i``.  Only the minimax checks build these; the round keeps integers.
     """
 
     minima: np.ndarray  # (K+1,)
@@ -233,26 +234,25 @@ def oracle_scores(
     rho: np.ndarray,
     config: LearnerConfig,
     oracle: ValueOracle,
-) -> OracleScores:
-    """Compute the round's K+1 oracle answers.
+) -> tuple[int, ...]:
+    """The round's K+1 oracle answers, as Python ints in coin units.
 
     ``past`` is the (U, K) coin count (:func:`past_loss_matrix`) and ``rho``
-    the (U, K) sign sums of the future (:func:`sample_future`).  Each answer
-    is one oracle call on ``past`` plus the future loss matrix plus one
-    coin at the current context (absent for index 0); exactly K+1 calls
-    total.  The gaps are the integer differences of the answers; the minima
-    are scaled back to loss units.  A context id that is not an integer, or
-    lies outside the class's 0..U-1, fails before the first call.
+    the (U, K) sign sums of the future (:func:`sample_future`).  Answer 0 is
+    one oracle call on ``past`` plus the future loss matrix; answer ``a`` is
+    the same query charged one coin at ``(x_t, a)``; exactly K+1 calls, in
+    that order.  ``scale`` times an answer is the oracle minimum in loss
+    units (:meth:`OracleScores.from_minima`).  A context id that is not an
+    integer, or lies outside the class's 0..U-1, fails before the first call.
     """
     check_context(x_t, oracle.policy_class.num_contexts)
     base = _base_matrix(past, rho, config, oracle)
-    minima = [oracle.value_arrays(base)]
+    answers = [oracle.value_arrays(base)]
     for a in range(config.K):
         charged = base.copy()
         charged[x_t, a] += 1
-        minima.append(oracle.value_arrays(charged))
-    gaps = np.array([float(m - minima[0]) for m in minima[1:]])
-    return OracleScores(minima=config.scale * np.array(minima, dtype=float), gaps=gaps)
+        answers.append(oracle.value_arrays(charged))
+    return tuple(answers)
 
 
 def water_fill(gaps) -> ActionDistribution:
@@ -309,19 +309,21 @@ def inner_sup_values(prob_rows: np.ndarray, scores: OracleScores, scale: float) 
     return np.maximum(z - z0, 0.0).sum(axis=1) / scale + z0
 
 
-def play_distribution(scores: OracleScores, config: LearnerConfig) -> ActionDistribution:
-    """Water-fill the gaps, then mix with uniform for the exploration floor.
+def play_distribution(answers: Sequence[int], config: LearnerConfig) -> ActionDistribution:
+    """Water-fill the answers' gaps, then mix with uniform for the exploration floor.
 
-    Integer scores make the gaps a vertex: K entries, each 0 or 1, at most
-    one 1.  Its water-fill is ``e_a`` for the action ``a`` with gap 1, else
-    ``e_1`` (the lowest-index tie rule), so the play is the config's
-    ``vertex_plays[a-1]``.  Any other gap vector is rejected.
+    Integer answers make the gaps ``answers[a] - answers[0]`` a vertex: K
+    entries, each 0 or 1, at most one 1.  Its water-fill is ``e_a`` for the
+    action ``a`` with gap 1, else ``e_1`` (the lowest-index tie rule), so the
+    play is the config's ``vertex_plays[a-1]``.  Anything else is rejected.
     """
-    gaps = scores.gaps.tolist()
-    ones = gaps.count(1.0)
-    if len(gaps) != config.K or ones > 1 or ones + gaps.count(0.0) != len(gaps):
-        raise ValueError(f"gaps {gaps} are not a vertex of {config.K} actions: each 0 or 1, at most one 1")
-    return config.vertex_plays[gaps.index(1.0) if ones else 0]
+    gaps = [answer - answers[0] for answer in answers[1:]]
+    ones = gaps.count(1)
+    if len(gaps) != config.K or ones > 1 or ones + gaps.count(0) != len(gaps) or answers[0] % 1:
+        raise ValueError(
+            f"answers {answers} are not a vertex of {config.K} actions: integer gaps 0 or 1, at most one 1"
+        )
+    return config.vertex_plays[gaps.index(1) if ones else 0]
 
 
 def relaxation_value(
@@ -392,8 +394,8 @@ class RelaxationLearner:
         if isinstance(source, ContextSequence) and x_t != source.ids[t - 1]:
             raise ValueError(f"round {t} has the known context {source.ids[t - 1]}, got {x_t}")
         rho = sample_future(t, config, source, rng)
-        scores = oracle_scores(self._past, x_t, rho, config, self.oracle)
-        dist = play_distribution(scores, config)
+        answers = oracle_scores(self._past, x_t, rho, config, self.oracle)
+        dist = play_distribution(answers, config)
         action = dist.sample(rng)
         cost = float(cost_of(action))
         prob = float(dist.probs[action - 1])
@@ -404,7 +406,7 @@ class RelaxationLearner:
             played_dist=dist,
             played_action=action,
             observed_cost=cost,
-            estimate=build_estimate(action, coin, config.scale),
+            estimate=build_estimate(action, coin),
         )
         self.round += 1
         if coin:

@@ -149,9 +149,9 @@ def unbiasedness_check(
     for _ in range(draws):
         action = sample_index(probs, rng) + 1
         coin = draw_estimator_coin(float(costs[action - 1]), float(probs[action - 1]), scale, rng)
-        estimate = build_estimate(action, coin, scale)
+        estimate = build_estimate(action, coin)
         if estimate.coordinate:
-            sums[estimate.coordinate - 1] += estimate.scale
+            sums[estimate.coordinate - 1] += scale
     means = sums / draws
     stderr = np.sqrt(np.maximum(scale * costs - costs**2, 0.0) / draws)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -353,8 +353,7 @@ def admissibility_check(
         rho_play = sample_future(t, config, context_dist, rng)
         rho_next = sample_future(t, config, context_dist, rng)
         for x in range(num_contexts):
-            scores = oracle_scores(past, x, rho_play, config, oracle)
-            dist = play_distribution(scores, config)
+            dist = play_distribution(oracle_scores(past, x, rho_play, config, oracle), config)
             # the potential after this round's estimate: zero, or one coin at (x, a)
             r_zero = relaxation_value(past, t, rho_next, config, oracle)
             r_spike = np.empty(k)

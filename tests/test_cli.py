@@ -90,6 +90,24 @@ class TestRunCommand:
         assert code == 2
         assert f"config error: {path}: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, section, spec",
+        [
+            ("environment.adversary.delta", "adversary", {"type": "drifting", "period": 10, "delta": 0.3}),
+            ("environment.adversary.period", "adversary", {"type": "stochastic-gap", "delta": 0.3, "period": 10}),
+            ("environment.context.seed", "context", {"U": 10, "probs": "uniform", "seed": 4}),
+        ],
+        ids=["delta-on-drifting", "period-on-stochastic-gap", "context-seed-without-random-probs"],
+    )
+    def test_field_the_variant_never_reads(self, tmp_path, capsys, path, section, spec):
+        config = json.loads((Path(__file__).resolve().parents[1] / "docs" / "example_config.json").read_text())
+        config["environment"][section] = spec
+        config_file = tmp_path / "unread.json"
+        config_file.write_text(json.dumps(config))
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("entry", [1.5, True, None, 0, 3])
     def test_explicit_table_entries(self, config_file, tmp_path, capsys, entry):
         config = json.loads(config_file.read_text())

@@ -1,5 +1,7 @@
 """Core types: distributions, estimates, and the estimator coin."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,23 +89,24 @@ def test_array_value_types_compare_and_hash_by_identity(make):
 
 
 class TestEstimatedCost:
-    # the learner counts estimates into its (U, K) coin matrix, in units of scale
+    # the learner counts estimates into its (U, K) coin matrix, in units of its config's scale
     @staticmethod
     def record(est):
         dist = ActionDistribution.uniform(3)
         return HistoryRecord(context=0, played_dist=dist, played_action=2, observed_cost=0.5, estimate=est)
 
     def test_spike_vector(self):
-        est = EstimatedCost(scale=4.0, coordinate=2)
+        est = EstimatedCost(coordinate=2)
         np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 1, 0]])
 
     def test_zero_vector(self):
-        est = EstimatedCost(scale=4.0, coordinate=0)
+        est = EstimatedCost(coordinate=0)
         np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 0, 0]])
 
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            EstimatedCost(scale=0.0, coordinate=1)
+    def test_a_coordinate_and_nothing_else(self):
+        assert [f.name for f in dataclasses.fields(EstimatedCost)] == ["coordinate"]
+        with pytest.raises(ValueError, match="coordinate"):
+            EstimatedCost(coordinate=-1)
 
 
 class TestHistoryRecord:
@@ -114,7 +117,7 @@ class TestHistoryRecord:
                 played_dist=ActionDistribution.uniform(3),
                 played_action=2,
                 observed_cost=0.5,
-                estimate=EstimatedCost(scale=4.0, coordinate=1),
+                estimate=EstimatedCost(coordinate=1),
             )
 
     def test_cost_range(self):
@@ -124,7 +127,7 @@ class TestHistoryRecord:
                 played_dist=ActionDistribution.uniform(3),
                 played_action=2,
                 observed_cost=1.5,
-                estimate=EstimatedCost(scale=4.0, coordinate=2),
+                estimate=EstimatedCost(coordinate=2),
             )
 
 
@@ -162,25 +165,23 @@ class TestEstimatorCoin:
 
 class TestBuildEstimate:
     def test_spike(self):
-        assert build_estimate(2, 1, 4.0) == EstimatedCost(scale=4.0, coordinate=2)
+        assert build_estimate(2, 1) == EstimatedCost(coordinate=2)
 
     def test_zero(self):
-        assert build_estimate(2, 0, 4.0).coordinate == 0
+        assert build_estimate(2, 0).coordinate == 0
 
     def test_rejects_bad_coin(self):
         with pytest.raises(ValueError, match="coin"):
-            build_estimate(2, 2, 4.0)
+            build_estimate(2, 2)
 
     def test_realized_estimates_stay_in_domain(self):
-        # every realized estimate is the zero vector or scale at one coordinate
+        # every realized estimate is the zero vector or one coin at the played coordinate
         rng = np.random.default_rng(8)
         scale = 6.0
         for _ in range(500):
             action = int(rng.integers(1, 5))
             coin = draw_estimator_coin(rng.random(), 0.25, scale, rng)
-            est = build_estimate(action, coin, scale)
-            assert est.coordinate == (action if coin else 0)
-            assert est.scale == scale
+            assert build_estimate(action, coin).coordinate == (action if coin else 0)
 
 
 class TestUnbiasedness:

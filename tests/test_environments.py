@@ -191,6 +191,28 @@ class TestAdversaryValidation:
         with pytest.raises(ValueError, match="period"):
             make_adversary({"type": "drifting"}, any_policy_class(), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("delta", ["0.3", True, np.True_, None, float("nan"), -0.1, 1.5])
+    @pytest.mark.parametrize("kind", ["stochastic-gap", "policy-targeted"])
+    def test_bad_delta_rejected(self, kind, delta):
+        spec = {"type": kind, "delta": delta, "period": 3}
+        with pytest.raises(ValueError, match="adversary delta must be a number in \\[0, 1\\]"):
+            make_adversary(spec, any_policy_class(), 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("period", [True, 2.5, 2.0, "3", 0, -1])
+    @pytest.mark.parametrize("kind", ["drifting", "policy-targeted"])
+    def test_bad_period_rejected(self, kind, period):
+        spec = {"type": kind, "delta": 0.3, "period": period}
+        with pytest.raises(ValueError, match="adversary period must be a positive integer"):
+            make_adversary(spec, any_policy_class(), 10, np.random.default_rng(0))
+
+    def test_numpy_numbers_accepted(self):
+        spec = {"type": "policy-targeted", "delta": np.float64(0.3), "period": np.int64(3)}
+        pc = any_policy_class()
+        assert np.array_equal(
+            make_adversary(spec, pc, 10, np.random.default_rng(0)).costs,
+            make_adversary({**spec, "delta": 0.3, "period": 3}, pc, 10, np.random.default_rng(0)).costs,
+        )
+
     def test_costs_always_in_range(self):
         pc = any_policy_class()
         rng = np.random.default_rng(6)

@@ -17,6 +17,7 @@ from relaxcb import (
     theoretical_bound,
     validate_config,
 )
+from relaxcb.policies import REMEMBER_MIN_CELLS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -70,6 +71,20 @@ class TestConfigValidation:
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="unknown field"):
             validate_config(small_config(bogus=1))
+
+    @pytest.mark.parametrize(
+        "adversary",
+        [
+            {"type": "stochastic-gap", "delta": 0.3},
+            {"type": "drifting", "period": 5},
+            {"type": "policy-targeted", "delta": 0.3, "period": 5},
+        ],
+        ids=["stochastic-gap", "drifting", "policy-targeted"],
+    )
+    def test_adversary_seed_read_by_every_type(self, adversary):
+        cfg = small_config()
+        cfg["environment"]["adversary"] = {**adversary, "seed": 9}
+        assert validate_config(cfg)["environment"]["adversary"]["seed"] == 9
 
     def test_explicit_table_takes_no_table_fields(self):
         cfg = small_config()
@@ -197,8 +212,8 @@ class TestRunExperiment:
 
 
 
-def baseline_config(learner, transductive):
-    """A small K=3, N=8, U=4, T=30 game; transductive runs face the policy-targeted adversary."""
+def baseline_config(learner, transductive, num_policies=8):
+    """A small K=3, N=8 (by default), U=4, T=30 game; transductive runs face the policy-targeted adversary."""
     adversary = (
         {"type": "policy-targeted", "delta": 0.2, "period": 7, "seed": 2}
         if transductive
@@ -211,7 +226,7 @@ def baseline_config(learner, transductive):
         "learner": learner,
         "reps": 2,
         "seed": 13,
-        "policyClass": {"type": "table", "seed": 4, "N": 8, "U": 4, "K": 3},
+        "policyClass": {"type": "table", "seed": 4, "N": num_policies, "U": 4, "K": 3},
         "environment": {
             "context": {"U": 4, "probs": "uniform"},
             "adversary": adversary,
@@ -221,8 +236,9 @@ def baseline_config(learner, transductive):
 
 
 class TestFrozenBaselines:
-    """Exp4 and uniform play, pinned through ``run_experiment`` alone: the
-    played actions of both replications and their final regrets, exactly."""
+    """Exp4, uniform play and the relaxation learner, pinned through
+    ``run_experiment`` alone: the played actions of both replications and
+    their final regrets, exactly."""
 
     EXP4_ACTIONS = ("233121233331332231221321213331", "132131233323331211232322322322")
     UNIFORM_ACTIONS = ("232221233221332132131331113221", "131121133313222111132221312322")
@@ -242,6 +258,37 @@ class TestFrozenBaselines:
         assert ["".join(map(str, run.played_actions)) for run in result.runs] == list(actions)
         assert tuple(run.final_regret for run in result.runs) == final_regrets
         assert result.oracle_calls_total == 0
+
+    @pytest.mark.parametrize(
+        "transductive, num_policies, actions, final_regrets",
+        [
+            (
+                False, 8,
+                ("311333233223212333331233213131", "122112323112311211321123133232"),
+                (6.252461819919782, 4.7156708105324885),
+            ),
+            (
+                True, 8,
+                ("321223123322321311211311131331", "123111321223121213121133121233"),
+                (4.9250000000000025, 4.075000000000012),
+            ),
+            (
+                False, 2048,
+                ("313333231213211123331233113211", "122112321112111211211121133222"),
+                (7.997304965917985, 7.8206111111852135),
+            ),
+        ],
+        ids=["relax-iid", "relax-transductive", "relax-remembered"],
+    )
+    def test_pinned_relaxation_runs(self, transductive, num_policies, actions, final_regrets):
+        # only the remembered row's N*U cells reach the oracle's one-cell memory
+        assert (num_policies * 4 >= REMEMBER_MIN_CELLS) == (num_policies > 8)
+        config = baseline_config("relax", transductive, num_policies)
+        result = run_experiment(config)
+        assert ["".join(map(str, run.played_actions)) for run in result.runs] == list(actions)
+        assert tuple(run.final_regret for run in result.runs) == final_regrets
+        assert result.oracle_calls_total == config["reps"] * config["T"] * (config["K"] + 1)
+
 
 class TestEmitOutputs:
     def test_files_and_shapes(self, tmp_path):

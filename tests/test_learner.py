@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,18 +232,15 @@ class TestOracleScores:
         cfg = LearnerConfig(K=2, T=1, scale=2.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores(zeros((1, 2)), 0, rho, cfg, ValueOracle(pc))
-        np.testing.assert_allclose(scores.minima, 0.0)
-        np.testing.assert_allclose(scores.gaps, 0.0)
+        assert oracle_scores(zeros((1, 2)), 0, rho, cfg, ValueOracle(pc)) == (0, 0, 0)
 
     def test_singleton_class_charges_its_action(self):
         pc = PolicyClass(table=np.array([[1]]), num_actions=3)
         cfg = LearnerConfig(K=3, T=1, scale=5.0)
         rng = np.random.default_rng(0)
         rho = sample_future(1, cfg, ContextDistribution.uniform(1), rng)
-        scores = oracle_scores(zeros((1, 3)), 0, rho, cfg, ValueOracle(pc))
-        np.testing.assert_allclose(scores.minima, [0.0, 5.0, 0.0, 0.0])
-        np.testing.assert_allclose(scores.gaps, [1.0, 0.0, 0.0])
+        # one coin on action 1, the only action the class plays
+        assert oracle_scores(zeros((1, 3)), 0, rho, cfg, ValueOracle(pc)) == (0, 1, 0, 0)
 
     def test_exactly_k_plus_one_oracle_calls(self):
         rng = np.random.default_rng(1)
@@ -252,8 +248,10 @@ class TestOracleScores:
         cfg = LearnerConfig(K=4, T=8, scale=6.0)
         oracle = ValueOracle(pc)
         rho = sample_future(1, cfg, ContextDistribution.uniform(3), rng)
-        oracle_scores(zeros((3, 4)), 0, rho, cfg, oracle)
+        answers = oracle_scores(zeros((3, 4)), 0, rho, cfg, oracle)
         assert oracle.stats.calls == 5
+        assert type(answers) is tuple and len(answers) == 5
+        assert all(type(answer) is int for answer in answers)  # Python ints, not numpy scalars
 
     def test_matches_loop_enumeration(self):
         rng = np.random.default_rng(2)
@@ -273,27 +271,29 @@ class TestOracleScores:
                         played_dist=ActionDistribution.uniform(k),
                         played_action=action,
                         observed_cost=0.5,
-                        estimate=EstimatedCost(scale, action if coin else 0),
+                        estimate=EstimatedCost(action if coin else 0),
                     )
                 )
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             x_t = int(rng.integers(u))
-            scores = oracle_scores(past_loss_matrix(history, u, k), x_t, rho, cfg, ValueOracle(pc))
+            answers = oracle_scores(past_loss_matrix(history, u, k), x_t, rho, cfg, ValueOracle(pc))
             # integer answers: every gap is exactly 0 or 1, and at most one is 1
-            assert set(scores.gaps.tolist()) <= {0.0, 1.0} and scores.gaps.sum() <= 1.0
+            gaps = [answer - answers[0] for answer in answers[1:]]
+            assert set(gaps) <= {0, 1} and sum(gaps) <= 1
+            # the loop in coin units: one per recorded coin, one for the charge, 2 per future sign
             for i in range(k + 1):
                 best = math.inf
                 for p in range(n):
-                    total = 0.0
+                    total = 0
                     for rec in history:
                         if rec.estimate.coordinate == action_of(pc, p, rec.context):
-                            total += scale
+                            total += 1
                     if i and action_of(pc, p, x_t) == i:
-                        total += scale
+                        total += 1
                     for x in range(u):
-                        total += 2.0 * scale * rho[x, action_of(pc, p, x) - 1]
+                        total += 2 * int(rho[x, action_of(pc, p, x) - 1])
                     best = min(best, total)
-                assert scores.minima[i] == pytest.approx(best, abs=1e-9)
+                assert answers[i] == best
 
 
 class TestWaterFill:
@@ -369,9 +369,9 @@ class TestInnerSupValue:
         np.testing.assert_array_equal(np.argsort(values), np.argsort(residuals))
 
 
-def vertex_gaps(k):
-    """Every vertex gap vector of ``k`` actions: all zeros, then each one-hot in action order."""
-    return [np.zeros(k)] + list(np.eye(k))
+def vertex_answers(k, base=0):
+    """Every vertex of ``k`` actions as K+1 integer answers: all gaps zero, then each one-hot gap in order."""
+    return [(base,) * (k + 1)] + [(base, *(base + int(a == i) for a in range(k))) for i in range(k)]
 
 
 class TestVertexPlay:
@@ -379,37 +379,43 @@ class TestVertexPlay:
 
     def test_mixing_arithmetic(self):
         # vertex e_1 mixed at K/scale = 0.5 with uniform: 0.5 * (1, 0) + 0.25
-        scores = make_scores([0.0, 4.0, 0.0], scale=4.0)
-        dist = play_distribution(scores, LearnerConfig(K=2, T=5, scale=4.0))
+        dist = play_distribution((0, 1, 0), LearnerConfig(K=2, T=5, scale=4.0))
         np.testing.assert_allclose(dist.probs, [0.75, 0.25])
 
     def test_scale_equal_actions_gives_uniform(self):
         cfg = LearnerConfig(K=2, T=5, scale=2.0)
-        for gaps in vertex_gaps(2):
-            dist = play_distribution(OracleScores(minima=np.zeros(3), gaps=gaps), cfg)
+        for answers in vertex_answers(2):
+            dist = play_distribution(answers, cfg)
             np.testing.assert_allclose(dist.probs, 0.5)
 
     @pytest.mark.parametrize("k,scale", [(2, 2.0), (2, 7.3), (3, 4.5), (5, 5.0), (5, 13.67), (8, 40.0)])
     def test_bit_identical_to_two_validated_distributions(self, k, scale):
         cfg = LearnerConfig(K=k, T=10, scale=scale)
         mix = 1.0 - k / scale
-        for gaps in vertex_gaps(k):
-            got = play_distribution(OracleScores(minima=np.zeros(k + 1), gaps=gaps), cfg)
+        for answers in vertex_answers(k, base=17):
+            got = play_distribution(answers, cfg)
+            gaps = np.subtract(answers[1:], answers[0]).astype(float)
             old = ActionDistribution(mix * water_fill(gaps).probs + 1.0 / scale)
             assert np.array_equal(got.probs.view(np.uint64), old.probs.view(np.uint64))
             assert not got.probs.flags.writeable
             assert got.probs.min() >= 1.0 / scale - 1e-12
 
     @pytest.mark.parametrize(
-        "gaps",
-        [[0.6, 0.4, 0.0], [1.0, 1.0, 0.0], [np.nan, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0]],
-        ids=["fractional", "two-ones", "nan", "negative", "wrong-length"],
+        "answers",
+        [
+            (0, 0.6, 0.4, 0),
+            (0, 1, 1, 0),
+            (0, math.nan, 0, 0),
+            (0, -1, 0, 0),
+            (0, 0, 1),
+            (0.5, 1.5, 0.5, 0.5),
+            (math.nan, 0, 0, 0),
+        ],
+        ids=["fractional", "two-ones", "nan", "negative", "wrong-length", "fractional-base", "nan-base"],
     )
-    def test_non_vertex_gaps_rejected(self, gaps):
-        # a stand-in for scores, because OracleScores itself rejects a NaN gap
-        scores = SimpleNamespace(gaps=np.array(gaps))
+    def test_non_vertex_gaps_rejected(self, answers):
         with pytest.raises(ValueError, match="not a vertex of 3 actions"):
-            play_distribution(scores, LearnerConfig(K=3, T=5, scale=4.0))
+            play_distribution(answers, LearnerConfig(K=3, T=5, scale=4.0))
 
     def test_every_round_plays_a_vertex(self, monkeypatch):
         original = RelaxationLearner.play_round
@@ -443,18 +449,19 @@ class TestVertexPlay:
         past = rng.integers(0, 3, size=(10, 5))
         for t in range(1, 41, 7):
             rho = sample_future(t, cfg, ContextDistribution.uniform(10), rng)
-            scores = oracle_scores(past, int(rng.integers(10)), rho, cfg, ValueOracle(pc))
-            expected = OracleScores.from_minima(scores.minima, cfg.scale)
-            np.testing.assert_allclose(scores.gaps, expected.gaps, rtol=0.0, atol=1e-12)
-            assert set(scores.gaps.tolist()) <= {0.0, 1.0}
-            assert not (scores.minima.flags.writeable or scores.gaps.flags.writeable)
+            answers = oracle_scores(past, int(rng.integers(10)), rho, cfg, ValueOracle(pc))
+            gaps = [answer - answers[0] for answer in answers[1:]]
+            assert set(gaps) <= {0, 1}
+            # the real-valued engine on scale times the answers prices the same gaps
+            scores = OracleScores.from_minima(cfg.scale * np.array(answers), cfg.scale)
+            np.testing.assert_allclose(scores.gaps, gaps, rtol=0.0, atol=1e-12)
 
 
 class TestRelaxationValue:
     def test_full_history_zero_estimates(self):
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
-        history = [make_record(0, EstimatedCost(4.0, 0), 2)] * 3
+        history = [make_record(0, EstimatedCost(0), 2)] * 3
         rho = sample_future(3, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
         past = past_loss_matrix(history, 1, 2)
         assert relaxation_value(past, 3, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
@@ -479,7 +486,7 @@ class TestRelaxationValue:
             for _ in range(t):
                 action = int(rng.integers(1, k + 1))
                 coin = int(rng.integers(2))
-                est = EstimatedCost(scale, action if coin else 0)
+                est = EstimatedCost(action if coin else 0)
                 history.append(make_record(int(rng.integers(u)), est, k, action))
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             best = math.inf
@@ -573,14 +580,12 @@ class TestPastMatrix:
             for a in range(1, k + 1):
                 charged = past.copy()
                 charged[x, a - 1] += 1
-                extended = past_loss_matrix([*records, make_record(x, EstimatedCost(scale, a), k)], u, k)
+                extended = past_loss_matrix([*records, make_record(x, EstimatedCost(a), k)], u, k)
                 assert relaxation_value(charged, t, rho, cfg, oracle) == relaxation_value(
                     extended, t, rho, cfg, oracle
                 )
-                assert np.array_equal(
-                    oracle_scores(charged, x, rho, cfg, oracle).minima,
-                    oracle_scores(extended, x, rho, cfg, oracle).minima,
-                )
+                answers = oracle_scores(charged, x, rho, cfg, oracle)
+                assert answers == oracle_scores(extended, x, rho, cfg, oracle)
 
 
 class TestMinimizerAgainstGrid:
@@ -852,16 +857,17 @@ class TestGoldenTrace:
 
 
 class TestIntegerScores:
-    """Scores of a seeded acceptance-size run: exact integer gaps, K+1 calls a round."""
+    """Answers of a seeded acceptance-size run: Python ints, gaps 0 or 1, K+1 calls a round."""
 
     def test_every_gap_is_zero_or_one(self, monkeypatch):
         seen = []
         original = learner_module.oracle_scores
 
         def recording(*args):
-            scores = original(*args)
-            seen.append(scores.gaps.tolist())
-            return scores
+            answers = original(*args)
+            assert all(type(answer) is int for answer in answers)
+            seen.append([answer - answers[0] for answer in answers[1:]])
+            return answers
 
         monkeypatch.setattr(learner_module, "oracle_scores", recording)
         # K=5, N=50, U=10, T=2000, stochastic-gap; one replication
@@ -870,6 +876,6 @@ class TestIntegerScores:
         assert len(seen) == 2000
         assert result.oracle_calls_total == 2000 * (5 + 1)
         for gaps in seen:
-            assert set(gaps) <= {0.0, 1.0} and sum(gaps) <= 1.0
+            assert set(gaps) <= {0, 1} and sum(gaps) <= 1
         ties = sum(not any(gaps) for gaps in seen)
         assert 0 < ties < 2000  # rounds where the base minimisers disagree at x_t
