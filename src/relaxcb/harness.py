@@ -355,7 +355,7 @@ def _run_one(
     rep: int,
 ) -> RunResult:
     horizon, k = learner_config.T, learner_config.K
-    table0 = policy_class.table - 1
+    by_context = np.subtract(policy_class.table.T, 1, order="C")  # row x: every policy's action index at x
     per_policy = np.zeros(policy_class.num_policies)
     played = np.empty(horizon, dtype=np.int64)
     expected = np.empty(horizon)
@@ -384,7 +384,7 @@ def _run_one(
         expected[t - 1] = float(dist.probs @ cvec)
         realized[t - 1] = record.observed_cost
         min_play = min(min_play, float(dist.probs.min()))
-        per_policy += cvec[table0[:, x]]
+        per_policy += cvec[by_context[x]]
         prefix_best = float(per_policy.min())
         cum_expected += expected[t - 1]
         cum_realized += realized[t - 1]

@@ -12,6 +12,7 @@ from relaxcb import (
     best_policy_loss,
     random_policy_class,
 )
+from relaxcb import policies
 from relaxcb.learner import future_loss_matrix
 from relaxcb.policies import REMEMBER_MIN_CELLS, context_action_sums
 
@@ -252,9 +253,11 @@ class TestMatrixQuery:
         for _ in range(6):
             base = rng.integers(-50, 50, size=(8, 5))
             queries.append(base)
-            for a in range(5):
+            # two charged columns per base: both the column minima cache and its replacement race
+            x1, x2 = rng.choice(8, size=2, replace=False)
+            for x, a in [(x1, 0), (x1, 1), (x1, 2), (x2, 3), (x2, 4)]:
                 charged = base.copy()
-                charged[int(rng.integers(8)), a] += 1
+                charged[x, a] += 1
                 queries.append(charged)
         expected = [loop_query_value(pc, q) for q in queries]
         oracle = ValueOracle(pc)
@@ -298,6 +301,135 @@ class TestMatrixQuery:
         assert oracle.stats.calls == 1
         assert oracle.value_arrays(np.ones((2, 2), dtype=np.int64)) == 2
         assert oracle.stats.calls == 2
+
+    def test_cell_beyond_the_int64_headroom_rejected_and_counted(self):
+        # U cells of at most (2**63 - 1) // U each cannot overflow a policy's int64 total
+        oracle = ValueOracle(PolicyClass(table=np.array([[1, 1], [2, 2]]), num_actions=2))
+        bound = (2**63 - 1) // 2
+        for bad in ([[2**62, 0], [2**62, 0]], [[0, 0], [-(2**63), 0]], [[bound + 1, 0], [0, 0]]):
+            with pytest.raises(ValueError, match="overflow"):
+                oracle.value_arrays(np.array(bad, dtype=np.int64))
+        assert oracle.stats.calls == 3
+        assert self.ask(oracle, np.array([[bound, 0], [bound, 0]])) == 0
+        assert self.ask(oracle, np.array([[-bound, 0], [-bound, 0]])) == -2 * bound
+
+    def test_charged_cell_beyond_the_headroom_rejected_and_counted(self):
+        rng = np.random.default_rng(35)
+        u, k = 8, 5
+        oracle = ValueOracle(random_policy_class(REMEMBER_MIN_CELLS // u, u, k, rng))
+        base = rng.integers(-50, 50, size=(u, k))
+        self.ask(oracle, base)
+        snapshot = oracle._last
+        bound = (2**63 - 1) // u
+        for value in (bound + 1, -bound - 1, -(2**63)):
+            charged = base.copy()
+            charged[2, 3] = value
+            with pytest.raises(ValueError, match="overflow"):
+                oracle.value_arrays(charged)
+        assert oracle.stats.calls == 4 and oracle._last is snapshot
+        charged[2, 3] = -bound
+        self.ask(oracle, charged)
+
+
+class TestBlockOracle:
+    """Block lookup tables and per-action column minima answer as the loop over the table, exactly."""
+
+    def ask(self, oracle, query):
+        got = oracle.value_arrays(query)
+        assert type(got) is int
+        assert got == loop_query_value(oracle.policy_class, query)
+        return got
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_full_queries_at_every_block_size(self, monkeypatch, g, k):
+        monkeypatch.setattr(policies, "_block_size", lambda n, u, k: g)
+        rng = np.random.default_rng(41 + g)
+        for u in sorted({g, 5, 7, 2 * g + 1}):  # one block, and U both divisible by g and not
+            pc = random_policy_class(60, u, k, rng)
+            oracle = ValueOracle(pc)
+            assert oracle._block == g
+            bound = (2**63 - 1) // u
+            for _ in range(4):
+                query = rng.integers(-1000, 1000, size=(u, k)) * 10 ** rng.integers(0, 12, size=(u, 1))
+                self.ask(oracle, query)
+            self.ask(oracle, np.full((u, k), bound))  # the headroom, used up exactly
+            self.ask(oracle, np.full((u, k), -bound))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_charged_queries_from_column_minima(self, monkeypatch, g, k):
+        monkeypatch.setattr(policies, "_block_size", lambda n, u, k: g)
+        rng = np.random.default_rng(51 + g)
+        u = 7
+        table = rng.integers(1, k + 1, size=(REMEMBER_MIN_CELLS // u + 1, u))
+        table[:, 0] = rng.integers(1, k, size=len(table))  # nobody plays action k on context 0
+        table[:, 1] = 1  # everybody plays action 1 on context 1
+        oracle = ValueOracle(PolicyClass(table=table, num_actions=k))
+        assert oracle._block == g and oracle._remember
+        for x1, x2 in [(0, 1), (1, 0), (6, 3)]:  # charged queries on two columns after one base
+            base = rng.integers(-3000, 3000, size=(u, k))
+            self.ask(oracle, base)
+            snapshot = oracle._last
+            for x in (x1, x2, x1):
+                for a in range(k):
+                    for delta in (1, -1, 10**9, -(10**9)):
+                        charged = base.copy()
+                        charged[x, a] += delta
+                        self.ask(oracle, charged)
+                        assert oracle._last is snapshot
+                        assert oracle._column[:2] == (snapshot, x)
+
+    def test_totals_at_the_top_of_int64(self):
+        # 7 divides 2**63 - 1, so every total of the all-bound query is exactly 2**63 - 1;
+        # a column minimum that large is a real group, not an empty one
+        rng = np.random.default_rng(71)
+        u, k = 7, 3
+        table = rng.integers(1, k, size=(REMEMBER_MIN_CELLS // u + 1, u))  # nobody plays action 3
+        oracle = ValueOracle(PolicyClass(table=table, num_actions=k))
+        base = np.full((u, k), (2**63 - 1) // u)
+        assert self.ask(oracle, base) == 2**63 - 1
+        for a in range(k):
+            charged = base.copy()
+            charged[4, a] -= 1
+            assert self.ask(oracle, charged) == 2**63 - 1 - (a < k - 1)
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_action_ids_at_the_edge_of_the_action_dtype(self, k):
+        # the oracle keeps the 1-based table as 0-based actions in the smallest dtype holding K
+        rng = np.random.default_rng(k)
+        table = rng.integers(1, k + 1, size=(REMEMBER_MIN_CELLS // 2, 2))
+        table[:, 0] = k - (np.arange(len(table)) % 2)  # actions K and K - 1 on context 0
+        oracle = ValueOracle(PolicyClass(table=table, num_actions=k))
+        base = rng.integers(-50, 50, size=(2, k))
+        self.ask(oracle, base)
+        for a in (k - 2, k - 1):
+            charged = base.copy()
+            charged[0, a] -= 100
+            self.ask(oracle, charged)
+
+    def test_new_base_invalidates_column_minima(self):
+        rng = np.random.default_rng(61)
+        u, k = 8, 5
+        oracle = ValueOracle(random_policy_class(REMEMBER_MIN_CELLS // u, u, k, rng))
+        for _ in range(4):
+            base = rng.integers(-50, 50, size=(u, k))
+            self.ask(oracle, base)
+            assert oracle._column[0] is not oracle._last  # the previous base's minima are stale
+            for a in range(k):
+                charged = base.copy()
+                charged[3, a] += 1  # always the same column
+                self.ask(oracle, charged)
+                assert oracle._column[0] is oracle._last
+
+    def test_block_size_rule(self):
+        # acceptance (N=50, U=10, K=5) and verify (N=4, U=2, K=2) shapes run today's gather
+        for n, u, k in [(50, 10, 5), (4, 2, 2)]:
+            assert ValueOracle(random_policy_class(n, u, k, np.random.default_rng(0)))._block == 1
+        assert policies._block_size(5000, 50, 5) == 4  # the wide class
+        assert policies._block_size(5000, 3, 5) == 3  # never more than U
+        assert policies._block_size(5000, 50, 50) == 1  # a 2-context block needs K**2 = 2500 > N / 4 entries
+        assert policies._block_size(REMEMBER_MIN_CELLS // 50 - 1, 50, 2) == 1  # below BLOCK_MIN_CELLS
 
 
 class TestPolicyClass:
