@@ -46,9 +46,17 @@ def check_context(x_t: Context, num_contexts: int) -> None:
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw a 0-based index by inverse-CDF lookup, consuming exactly one uniform."""
+    """Draw a 0-based index by inverse-CDF lookup, consuming exactly one uniform.
+
+    ``probs`` must be an ndarray.  The ndarray methods are the functions
+    ``np.cumsum`` and ``np.searchsorted`` dispatch to, so the index is the
+    same; calling them directly skips the wrappers, which cost more than the
+    work on a K-vector (timeit on a 2-core x86 host, K=4: 2.3 µs per draw
+    against 4.2 µs).  A CDF that ends below ``u`` is clamped to the last
+    index.
+    """
     u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    idx = int(probs.cumsum().searchsorted(u, "right"))
     return min(idx, len(probs) - 1)
 
 

@@ -223,7 +223,7 @@ class ValueOracle:
         last = self._last  # one read: the answer comes from the snapshot it is compared with
         if last is not None:
             last_cells, last_totals = last
-            changed = np.flatnonzero(cells != last_cells)
+            changed = (cells != last_cells).nonzero()[0]  # np.flatnonzero without its wrapper's cost
             if changed.size == 1:  # the remembered query passed the bound; check the new cell only
                 cell = int(changed[0])
                 value = int(cells[cell])

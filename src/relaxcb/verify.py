@@ -139,24 +139,41 @@ def unbiasedness_check(
     ``relaxcb verify`` runs it) a correct estimator therefore fails on
     about 1 seed in 100: ``1 - (1 - 0.0027)**4 = 1.1%`` under the normal
     approximation, and 2 of 300 seeds failed in practice.
+
+    A given ``costs`` must have shape ``(num_actions,)`` and entries in
+    [0, 1], and ``draws`` must be at least 1; anything else raises
+    ``ValueError`` before the first draw.  Coins are counted in Python ints
+    and each mean is ``count * scale / draws``.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    if costs is not None:
+        costs = np.asarray(costs, dtype=float)
+        if costs.shape != (num_actions,):
+            raise ValueError(f"costs has shape {costs.shape}, expected ({num_actions},)")
+        if not np.all((costs >= 0.0) & (costs <= 1.0)):  # a NaN fails both comparisons
+            raise ValueError(f"costs must lie in [0, 1], got {costs.tolist()}")
     raw = rng.random(num_actions)
     probs = (1.0 - num_actions / scale) * (raw / raw.sum()) + 1.0 / scale
     if costs is None:
         costs = rng.random(num_actions)
-    costs = np.asarray(costs, dtype=float)
-    sums = np.zeros(num_actions)
+    cost_of, prob_of = costs.tolist(), probs.tolist()
+    coins = [0] * (num_actions + 1)  # by estimate coordinate; 0 is the zero vector
     for _ in range(draws):
         action = sample_index(probs, rng) + 1
-        coin = draw_estimator_coin(float(costs[action - 1]), float(probs[action - 1]), scale, rng)
-        estimate = build_estimate(action, coin)
-        if estimate.coordinate:
-            sums[estimate.coordinate - 1] += scale
-    means = sums / draws
+        coin = draw_estimator_coin(cost_of[action - 1], prob_of[action - 1], scale, rng)
+        coins[build_estimate(action, coin).coordinate] += 1
+    means = np.array(coins[1:]) * scale / draws
     stderr = np.sqrt(np.maximum(scale * costs - costs**2, 0.0) / draws)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigmas = np.where(stderr > 0.0, np.abs(means - costs) / stderr, np.abs(means - costs))
     return UnbiasednessResult(costs=costs, means=means, sigmas=sigmas, draws=draws)
+
+
+#: Samples per matrix product in :func:`rademacher_bound_check`; a chunk's
+#: float ``sign * Z`` rows take ``8 * horizon * num_actions`` bytes each
+#: (3.2 MB per chunk at the ``relaxcb verify`` sizes).
+_CHUNK_ROWS = 1024
 
 
 class PerturbationCheck(NamedTuple):
@@ -184,7 +201,19 @@ def rademacher_bound_check(
     ``num_actions/scale``) and 0 otherwise.  Requires the second moment
     ``scale**2 * z_prob`` to stay within ``moment_bound``; the returned
     analytic cap is ``sqrt(2 * horizon * moment_bound * ln(num_policies))``.
+
+    Samples are drawn in blocks of at most 5e6 signs.  A block's
+    per-policy sums are one matrix product of its ``sign * Z`` rows with a
+    (horizon * num_actions, num_policies) 0/1 selector, taken over chunks of
+    :data:`_CHUNK_ROWS` samples.  Beside the block's int64 signs (40 MB at
+    5e6 signs) and float ``Z`` (40 / num_actions MB), it holds one chunk's
+    float product, not a block-sized one.  Every partial sum is an
+    integer times ``scale``, so for an integer or dyadic ``scale`` the sums
+    are exact in any order.  ``samples`` and ``horizon`` must be at least 1.
     """
+    for name, value in (("samples", samples), ("horizon", horizon)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if z_prob is None:
         z_prob = num_actions / scale
     if not 0.0 <= z_prob <= 1.0:
@@ -195,20 +224,24 @@ def rademacher_bound_check(
         )
     policy_class = random_policy_class(num_policies, num_contexts, num_actions, rng)
     xs = rng.integers(0, num_contexts, size=horizon)
-    actions0 = policy_class.table[:, xs] - 1  # (N, T) 0-based actions per policy
-    cols = np.arange(horizon)
+    # column p picks sign (t, policy p's action at x_t) out of a sample's flattened (T, K) signs
+    picked = np.arange(horizon)[:, None] * num_actions + policy_class.table[:, xs].T - 1  # (T, N)
+    selector = np.zeros((horizon * num_actions, num_policies))
+    selector[picked, np.arange(num_policies)] = 1.0
 
     sups = np.empty(samples)
     block = max(1, min(samples, int(5e6 // (horizon * num_actions)) or 1))
     done = 0
     while done < samples:
         b = min(block, samples - done)
-        signs = rng.integers(0, 2, size=(b, horizon, num_actions)) * 2 - 1
+        signs = rng.integers(0, 2, size=(b, horizon, num_actions))
+        signs *= 2
+        signs -= 1
         z = np.where(rng.random((b, horizon)) < z_prob, scale, 0.0)
-        per_policy = np.empty((b, num_policies))
-        for p in range(num_policies):
-            per_policy[:, p] = (signs[:, cols, actions0[p]] * z).sum(axis=1)
-        sups[done : done + b] = per_policy.max(axis=1)
+        for lo in range(0, b, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, b)
+            per_policy = (signs[lo:hi] * z[lo:hi, :, None]).reshape(hi - lo, -1) @ selector
+            sups[done + lo : done + hi] = per_policy.max(axis=1)
         done += b
     empirical = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -331,7 +364,14 @@ def admissibility_check(
     must satisfy ``LHS <= RHS`` up to Monte Carlo noise.  The cost vector
     ranges over a finite grid and expectations are sampled, so this is a
     necessary-condition test, not a proof.
+
+    Each of the ``draws`` (at least 1) makes ``2 + U(2K+1)`` oracle calls:
+    the current potential, the zero-coin next potential (which depends on
+    neither the context nor the action), and per context the round's K+1
+    scores and K one-coin next potentials.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     t = len(history) + 1
     if t > config.T:
         raise ValueError("history already spans the whole horizon")
@@ -352,10 +392,10 @@ def admissibility_check(
 
         rho_play = sample_future(t, config, context_dist, rng)
         rho_next = sample_future(t, config, context_dist, rng)
+        # the potential after this round's estimate: zero, or one coin at (x, a)
+        r_zero = relaxation_value(past, t, rho_next, config, oracle)
         for x in range(num_contexts):
             dist = play_distribution(oracle_scores(past, x, rho_play, config, oracle), config)
-            # the potential after this round's estimate: zero, or one coin at (x, a)
-            r_zero = relaxation_value(past, t, rho_next, config, oracle)
             r_spike = np.empty(k)
             for a in range(k):
                 after = past.copy()

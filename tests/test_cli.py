@@ -1,6 +1,7 @@
 """Command-line interface: run and verify subcommands."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,18 @@ class TestVerifyCommand:
         assert code == 0
         for name in ("minimax", "unbiasedness", "perturbation-bound", "admissibility"):
             assert f"[PASS] {name}" in out
+
+    def test_quick_output_is_pinned(self, capsys):
+        """The default seed's four verdict lines, byte for byte apart from the minimax timing."""
+        code = main(["verify", "--quick"])
+        out = re.sub(r" \(\d+\.\ds\)$", "", capsys.readouterr().out, count=1, flags=re.MULTILINE)
+        assert code == 0
+        assert out == (
+            "[PASS] minimax: worst gap above grid minimum 8.88e-16\n"
+            "[PASS] unbiasedness: worst coordinate at 1.13 sigma\n"
+            "[PASS] perturbation-bound: empirical 38.21 <= bound 94.19\n"
+            "[PASS] admissibility: margins 1.211\n"
+        )
 
     def test_negative_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

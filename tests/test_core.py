@@ -20,6 +20,30 @@ from relaxcb.core import sample_index
 from relaxcb.learner import past_loss_matrix
 
 
+class FixedUniform:
+    """Stands in for a generator whose every uniform is ``u``, counting the draws."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+def _random_simplex(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(100 + seed)
+    return rng.dirichlet(np.ones(int(rng.integers(2, 9))))
+
+
+SAMPLE_INDEX_CASES = [
+    pytest.param(np.array([0.25, 0.25, 0.5]), None, id="quarters"),
+    *(pytest.param(_random_simplex(seed), None, id=f"random-{seed}") for seed in range(6)),
+    pytest.param(np.array([0.3, 0.7 - 1e-12]), 1.0 - 5e-13, id="short-cdf-clamped"),
+]
+
+
 class TestActionDistribution:
     def test_accepts_and_renormalizes_within_tolerance(self):
         d = ActionDistribution(np.array([0.5, 0.5 + 4e-10]))
@@ -60,15 +84,21 @@ class TestActionDistribution:
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(counts / n - probs) <= 4 * sigma)
 
-    def test_sample_index_consumes_one_uniform(self):
-        cfg_rng = np.random.default_rng(7)
-        ref_rng = np.random.default_rng(7)
-        probs = np.array([0.25, 0.25, 0.5])
-        idx = sample_index(probs, cfg_rng)
-        u = ref_rng.random()
-        assert idx == int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        # both generators are now in the same state
-        assert cfg_rng.random() == ref_rng.random()
+    @pytest.mark.parametrize("probs, u", SAMPLE_INDEX_CASES)
+    def test_sample_index_consumes_one_uniform(self, probs, u):
+        """Same index as ``np.searchsorted`` on ``np.cumsum``, clamped to the last action, from one uniform."""
+        make = (lambda: np.random.default_rng(7)) if u is None else (lambda: FixedUniform(u))
+        rng, ref_rng = make(), make()
+        idx = sample_index(probs, rng)
+        ref_u = ref_rng.random()
+        unclamped = int(np.searchsorted(np.cumsum(probs), ref_u, side="right"))
+        assert idx == min(unclamped, len(probs) - 1)
+        if u is None:
+            # both generators are now in the same state
+            assert rng.random() == ref_rng.random()
+        else:
+            assert unclamped == len(probs)  # u lies above the last CDF entry
+            assert rng.draws == 1
 
 
 @pytest.mark.parametrize(

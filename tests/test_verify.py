@@ -1,6 +1,7 @@
 """The verification oracles themselves, cross-checked by third routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,32 @@ from relaxcb import (
 
 def make_scores(minima, scale):
     return OracleScores.from_minima(np.asarray(minima, dtype=float), scale)
+
+
+def reference_rademacher_bound_check(
+    horizon, moment_bound, num_policies, scale, num_actions, num_contexts, samples, rng, z_prob=None
+):
+    """The perturbation check as a per-policy loop of (b, T) gathers, for the exactness tests."""
+    if z_prob is None:
+        z_prob = num_actions / scale
+    policy_class = random_policy_class(num_policies, num_contexts, num_actions, rng)
+    xs = rng.integers(0, num_contexts, size=horizon)
+    actions0 = policy_class.table[:, xs] - 1
+    cols = np.arange(horizon)
+    sups = np.empty(samples)
+    block = max(1, min(samples, int(5e6 // (horizon * num_actions)) or 1))
+    done = 0
+    while done < samples:
+        b = min(block, samples - done)
+        signs = rng.integers(0, 2, size=(b, horizon, num_actions)) * 2 - 1
+        z = np.where(rng.random((b, horizon)) < z_prob, scale, 0.0)
+        per_policy = np.empty((b, num_policies))
+        for p in range(num_policies):
+            per_policy[:, p] = (signs[:, cols, actions0[p]] * z).sum(axis=1)
+        sups[done : done + b] = per_policy.max(axis=1)
+        done += b
+    stderr = float(sups.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return float(sups.mean()), stderr
 
 
 class TestSimplexGrid:
@@ -111,6 +138,20 @@ class TestUnbiasednessCheck:
         np.testing.assert_allclose(res.means, 0.0)
         assert res.passed()
 
+    @pytest.mark.parametrize("costs", [[0.5, 0.5], [0.5] * 5, [[0.5, 0.5, 0.5]]], ids=["short", "long", "2-d"])
+    def test_rejects_costs_of_another_shape(self, costs):
+        with pytest.raises(ValueError, match=re.escape(f"costs has shape {np.shape(costs)}, expected (3,)")):
+            unbiasedness_check(3, 6.0, 200, np.random.default_rng(0), costs=costs)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_rejects_costs_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"costs must lie in \[0, 1\]"):
+            unbiasedness_check(3, 6.0, 200, np.random.default_rng(0), costs=[0.5, bad, 0.5])
+
+    def test_rejects_zero_draws(self):
+        with pytest.raises(ValueError, match="draws must be >= 1, got 0"):
+            unbiasedness_check(3, 6.0, 0, np.random.default_rng(0))
+
 
 class TestPerturbationBoundCheck:
     def test_single_policy_is_mean_zero(self):
@@ -137,6 +178,42 @@ class TestPerturbationBoundCheck:
                 horizon=50, moment_bound=4.0, num_policies=8, scale=4.0,
                 num_actions=2, num_contexts=3, samples=100, rng=rng,
             )
+
+    @pytest.mark.parametrize("field", ["samples", "horizon"])
+    def test_rejects_zero_samples_or_horizon(self, field):
+        sizes = {"samples": 100, "horizon": 50, field: 0}
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            rademacher_bound_check(
+                moment_bound=8.0, num_policies=8, scale=4.0, num_actions=2, num_contexts=3,
+                rng=np.random.default_rng(0), **sizes,
+            )
+
+    @pytest.mark.parametrize(
+        "horizon, num_policies, scale, moment_bound, num_actions, samples, z_prob",
+        [
+            (200, 16, 4.0, 8.0, 2, 3000, None),   # the relaxcb verify shape, three chunks
+            (200, 16, 3.0, 6.0, 2, 500, None),    # an odd integer scale
+            (100, 1, 4.0, 8.0, 2, 700, None),     # one policy
+            (50, 8, 4.0, 8.0, 2, 300, 0.0),       # no magnitude ever hits
+            (120, 12, 6.0, 18.0, 3, 900, None),   # three actions
+            (1000, 3, 4.0, 8.0, 2, 2600, None),   # blocks of 2500: a three-chunk block, then a short one
+        ],
+        ids=["verify", "scale-3", "one-policy", "z-prob-0", "three-actions", "blocks"],
+    )
+    def test_equals_the_per_policy_loop(self, horizon, num_policies, scale, moment_bound, num_actions, samples, z_prob):
+        args = (horizon, moment_bound, num_policies, scale, num_actions, 4, samples)
+        check = rademacher_bound_check(*args, np.random.default_rng(12), z_prob=z_prob)
+        empirical, stderr = reference_rademacher_bound_check(*args, np.random.default_rng(12), z_prob=z_prob)
+        assert check.empirical == empirical
+        assert check.stderr == stderr
+
+    def test_non_dyadic_scale_matches_the_per_policy_loop(self):
+        # sums of 4.7 round in the order they are added, so only closeness holds
+        args = (200, 10.0, 16, 4.7, 2, 4, 2500)
+        check = rademacher_bound_check(*args, np.random.default_rng(13))
+        empirical, stderr = reference_rademacher_bound_check(*args, np.random.default_rng(13))
+        assert check.empirical == pytest.approx(empirical, rel=1e-12)
+        assert check.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_bound_formula(self):
         rng = np.random.default_rng(7)
@@ -178,6 +255,13 @@ class TestAdmissibilityCheck:
         with pytest.raises(ValueError, match="no estimate"):
             admissibility_check(pc, cfg, ContextDistribution.uniform(2), history, 10, rng)
 
+    def test_rejects_zero_draws(self):
+        rng = np.random.default_rng(10)
+        pc = random_policy_class(4, 2, 2, rng)
+        cfg = LearnerConfig(K=2, T=2, scale=3.0)
+        with pytest.raises(ValueError, match="draws must be >= 1, got 0"):
+            admissibility_check(pc, cfg, ContextDistribution.uniform(2), [], 0, rng)
+
     def test_rejects_exhausted_horizon(self):
         rng = np.random.default_rng(10)
         pc = random_policy_class(4, 2, 2, rng)
@@ -186,3 +270,40 @@ class TestAdmissibilityCheck:
         history = [RelaxationLearner(cfg, ValueOracle(pc), dist).play_round(0, lambda a: 0.5, rng)]
         with pytest.raises(ValueError, match="horizon"):
             admissibility_check(pc, cfg, dist, history, 10, rng)
+
+
+class TestFrozenResults:
+    """Seeded results of the Monte Carlo suites, pinned with ``==`` so a faster path cannot move them."""
+
+    def test_admissibility_without_history(self):
+        rng = np.random.default_rng(8)
+        pc = random_policy_class(4, 2, 2, rng)
+        cfg = LearnerConfig(K=2, T=2, scale=3.0)
+        res = admissibility_check(pc, cfg, ContextDistribution.uniform(2), [], 300, rng)
+        assert (res.lhs, res.rhs, res.lhs_stderr, res.rhs_stderr, res.draws, res.round_index) == (
+            3.4283333333333332, 5.213333333333333, 0.25574141166330333, 0.3438207513081494, 300, 1,
+        )
+
+    def test_admissibility_with_history(self):
+        rng = np.random.default_rng(9)
+        pc = random_policy_class(4, 2, 2, rng)
+        cfg = LearnerConfig(K=2, T=4, scale=3.0)
+        dist = ContextDistribution.uniform(2)
+        learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
+        costs = rng.random(2)
+        history = [learner.play_round(dist.sample(rng), lambda a: costs[a - 1], rng) for _ in range(2)]
+        assert [rec.estimate.coordinate for rec in history] == [1, 2]
+        res = admissibility_check(pc, cfg, dist, history, 300, rng)
+        assert (res.lhs, res.rhs, res.lhs_stderr, res.rhs_stderr, res.draws, res.round_index) == (
+            0.8499999999999996, 1.8733333333333333, 0.24655749489844817, 0.3835601577964393, 300, 3,
+        )
+
+    def test_unbiasedness_means(self):
+        res = unbiasedness_check(4, 8.0, 3000, np.random.default_rng(2))
+        assert res.means.tolist() == [0.5733333333333334, 0.72, 0.176, 0.056]
+        assert res.sigmas.tolist() == [0.6957264875490179, 0.2037126994051547, 0.5380198044039984, 0.07061499524460732]
+
+    def test_unbiasedness_means_with_given_costs(self):
+        res = unbiasedness_check(3, 6.0, 3000, np.random.default_rng(3), costs=[0.25, 0.9, 0.6])
+        assert res.means.tolist() == [0.294, 0.858, 0.602]
+        assert res.sigmas.tolist() == [2.010061647334965, 1.0737509843863196, 0.060858061945018506]
