@@ -22,17 +22,12 @@ from .policies import (
 )
 from .learner import (
     LearnerConfig,
-    OracleScores,
     RelaxationLearner,
     in_tuning_regime,
-    inner_sup_value,
-    inner_sup_values,
     oracle_scores,
     play_distribution,
-    relaxation_value,
     sample_future,
     tune_scale,
-    water_fill,
 )
 from .environments import (
     ContextDistribution,
@@ -53,12 +48,17 @@ from .harness import (
 )
 from .verify import (
     AdmissibilityResult,
+    OracleScores,
     admissibility_check,
     brute_force_minimax,
+    inner_sup_value,
+    inner_sup_values,
     rademacher_bound_check,
+    relaxation_value,
     simplex_grid,
     sup_by_vertex_enumeration,
     unbiasedness_check,
+    water_fill,
 )
 
 __all__ = [

@@ -11,9 +11,9 @@ import numpy as np
 
 from .environments import ContextDistribution
 from .harness import LEARNERS, ConfigError, emit_outputs, run_experiment
-from .learner import LearnerConfig, OracleScores, inner_sup_value, water_fill
+from .learner import LearnerConfig
 from .policies import random_policy_class
-from .verify import admissibility_check, brute_force_minimax, rademacher_bound_check, unbiasedness_check
+from .verify import admissibility_check, minimax_check, rademacher_bound_check, unbiasedness_check
 
 
 def main(argv=None) -> int:
@@ -79,18 +79,7 @@ def _cmd_verify(args) -> int:
 
     # Water-filling vs. grid search on random score instances.
     t0 = time.perf_counter()
-    cases = [(2, 1e-3, 10 if quick else 40), (3, 1e-2, 5 if quick else 20)]
-    worst_gap = 0.0
-    ok = True
-    for k, mesh, count in cases:
-        for _ in range(count):
-            scale = float(k * rng.integers(1, 3))
-            minima = np.concatenate([[0.0], rng.normal(0.0, scale, size=k)])
-            scores = OracleScores.from_minima(minima, scale)
-            achieved = inner_sup_value(water_fill(scores.gaps), scores, scale)
-            _, grid_min = brute_force_minimax(scores, scale, mesh)
-            worst_gap = max(worst_gap, achieved - grid_min)
-            ok = ok and achieved <= grid_min + scale * mesh + 1e-6
+    ok, worst_gap = minimax_check([(2, 1e-3, 10 if quick else 40), (3, 1e-2, 5 if quick else 20)], rng)
     report("minimax", ok, f"worst gap above grid minimum {worst_gap:.3g} ({time.perf_counter() - t0:.1f}s)")
 
     # Estimate unbiasedness through the real sampling path.

@@ -233,13 +233,12 @@ class RunResult:
 
     ``cumulative_regret[r-1]`` compares the expected costs so far against
     the best policy on the *prefix* of rounds 1..r; at r = T it equals
-    ``sum(expected_costs) - comparator_loss``.  Realized-cost counterparts
-    are kept alongside for reference.
+    ``sum(expected_costs) - comparator_loss``.  ``cumulative_realized_regret``
+    is the same with the observed costs in place of the expected ones.
     """
 
     played_actions: np.ndarray
     expected_costs: np.ndarray
-    realized_costs: np.ndarray
     cumulative_regret: np.ndarray
     cumulative_realized_regret: np.ndarray
     comparator_loss: float
@@ -359,7 +358,6 @@ def _run_one(
     per_policy = np.zeros(policy_class.num_policies)
     played = np.empty(horizon, dtype=np.int64)
     expected = np.empty(horizon)
-    realized = np.empty(horizon)
     regret = np.empty(horizon)
     realized_regret = np.empty(horizon)
 
@@ -382,12 +380,11 @@ def _run_one(
         dist = record.played_dist
         played[t - 1] = record.played_action
         expected[t - 1] = float(dist.probs @ cvec)
-        realized[t - 1] = record.observed_cost
         min_play = min(min_play, float(dist.probs.min()))
         per_policy += cvec[by_context[x]]
         prefix_best = float(per_policy.min())
         cum_expected += expected[t - 1]
-        cum_realized += realized[t - 1]
+        cum_realized += record.observed_cost
         regret[t - 1] = cum_expected - prefix_best
         realized_regret[t - 1] = cum_realized - prefix_best
 
@@ -395,7 +392,6 @@ def _run_one(
     return RunResult(
         played_actions=played,
         expected_costs=expected,
-        realized_costs=realized,
         cumulative_regret=regret,
         cumulative_realized_regret=realized_regret,
         comparator_loss=float(per_policy.min()),

@@ -2,10 +2,10 @@
 
 Each round the learner draws fresh randomness for the remaining rounds,
 asks the value oracle K+1 questions about the history extended by that
-randomness, picks one of K prebuilt plays (the water-fill of the answers'
-integer gaps, mixed with uniform for exploration), plays, and finally
+randomness, picks one of K prebuilt plays by the answers, plays, and
 records a discretized importance-weighted estimate of the observed cost.
-The oracle budget is exactly K+1 calls per round.
+The oracle budget is exactly K+1 calls per round, and those calls and the
+oracle's query shape are all the learner sees of the policy class.
 
 Every loss shown to the oracle is a whole multiple of ``scale``, so the
 learner scores in those units on (U, K) int64 matrices: the past is the
@@ -15,7 +15,7 @@ a ``ContextSequence``'s known suffix), and a charged query adds 1 at
 ``(x_t, a)``.  The oracle's answers stay Python ints, so every gap is
 exactly 0 or 1, at most one is 1, and a tie (all gaps 0: the base
 minimisers disagree at ``x_t``) fills the lowest index: a round plays one
-of the K ``LearnerConfig.vertex_plays``.
+of the K ``LearnerConfig.vertex_plays`` (reference: :mod:`relaxcb.verify`).
 
 Randomness contract (one round with ``n`` remaining rounds consumes, in
 order):
@@ -52,7 +52,7 @@ from .core import (
     draw_estimator_coin,
 )
 from .environments import ContextDistribution, ContextSequence
-from .policies import PolicyClass, ValueOracle
+from .policies import ValueOracle
 
 #: A source of future contexts: a distribution to sample from (i.i.d.
 #: contexts), or the known context sequence of rounds 1..T (transductive).
@@ -112,42 +112,6 @@ def in_tuning_regime(num_actions: int, horizon: int, num_policies: int) -> bool:
     return horizon >= num_actions**2 * math.log(num_policies)
 
 
-@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the minima and gaps arrays
-class OracleScores:
-    """Real-valued oracle minima and their normalized gaps, for the minimax checks.
-
-    ``minima[i]`` is the best cumulative loss over the class when an extra
-    ``scale``-sized charge on action ``i`` at the current context is added
-    to the sequence (``minima[0]``: no charge).  ``gaps[i-1]`` is
-    ``(minima[i] - minima[0]) / scale``, the normalized price of action
-    ``i``.  Only the minimax checks build these; the round keeps integers.
-    """
-
-    minima: np.ndarray  # (K+1,)
-    gaps: np.ndarray    # (K,)
-
-    def __post_init__(self) -> None:
-        minima = np.asarray(self.minima, dtype=float)
-        gaps = np.asarray(self.gaps, dtype=float)
-        if minima.ndim != 1 or minima.size < 2 or gaps.shape != (minima.size - 1,):
-            raise ValueError("scores need K+1 minima and K gaps")
-        if not (np.all(np.isfinite(minima)) and np.all(np.isfinite(gaps))):
-            raise ValueError("scores must be finite")
-        minima.flags.writeable = False
-        gaps.flags.writeable = False
-        object.__setattr__(self, "minima", minima)
-        object.__setattr__(self, "gaps", gaps)
-
-    @property
-    def num_actions(self) -> int:
-        return int(self.gaps.size)
-
-    @classmethod
-    def from_minima(cls, minima: np.ndarray, scale: float) -> "OracleScores":
-        minima = np.asarray(minima, dtype=float)
-        return cls(minima=minima, gaps=(minima[1:] - minima[0]) / scale)
-
-
 def _check_source(config: LearnerConfig, source: ContextSource) -> None:
     """O(1): the source is one of the two kinds, and a sequence covers rounds 1..T."""
     if isinstance(source, ContextSequence):
@@ -157,10 +121,10 @@ def _check_source(config: LearnerConfig, source: ContextSource) -> None:
         raise TypeError(f"need a ContextDistribution or a ContextSequence, got {type(source).__name__}")
 
 
-def _check_inputs(config: LearnerConfig, source: ContextSource, policy_class: PolicyClass) -> None:
-    """Check once that the config's K and the source's U match the policy class."""
+def _check_inputs(config: LearnerConfig, source: ContextSource, oracle: ValueOracle) -> None:
+    """Check once that the config's K and the source's U match the oracle's policy class."""
     _check_source(config, source)
-    k, u = policy_class.num_actions, policy_class.num_contexts
+    u, k = oracle.shape
     if config.K != k:
         raise ValueError(f"config has K={config.K} actions, the policy class has {k}")
     if source.num_contexts != u:
@@ -219,8 +183,10 @@ def future_loss_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def _base_matrix(past: np.ndarray, rho: np.ndarray, config: LearnerConfig, oracle: ValueOracle) -> np.ndarray:
-    """The past counts plus the future loss matrix, after checking that both are (U, K) int64."""
-    shape = (oracle.policy_class.num_contexts, config.K)
+    """The past counts plus the future loss matrix, after checking K and that both are int64 of the oracle's shape."""
+    shape = oracle.shape
+    if config.K != shape[1]:
+        raise ValueError(f"config has K={config.K} actions, the policy class has {shape[1]}")
     for name, mat in (("past count", past), ("future draw", rho)):
         mat = np.asarray(mat)
         if mat.shape != shape or mat.dtype != np.int64:
@@ -242,10 +208,10 @@ def oracle_scores(
     one oracle call on ``past`` plus the future loss matrix; answer ``a`` is
     the same query charged one coin at ``(x_t, a)``; exactly K+1 calls, in
     that order.  ``scale`` times an answer is the oracle minimum in loss
-    units (:meth:`OracleScores.from_minima`).  A context id that is not an
+    units (``verify.OracleScores.from_minima``).  A context id that is not an
     integer, or lies outside the class's 0..U-1, fails before the first call.
     """
-    check_context(x_t, oracle.policy_class.num_contexts)
+    check_context(x_t, oracle.shape[0])
     base = _base_matrix(past, rho, config, oracle)
     answers = [oracle.value_arrays(base)]
     for a in range(config.K):
@@ -255,67 +221,13 @@ def oracle_scores(
     return tuple(answers)
 
 
-def water_fill(gaps) -> ActionDistribution:
-    """Sequentially fill coordinates up to their (positive) gaps.
-
-    Walks coordinates in order 1..K, assigning ``min(max(gap, 0), m)`` to
-    each while mass ``m`` (initially 1) lasts.  Any remaining mass goes to
-    the largest gap, ties to the lowest index.  Any real gap vector is
-    acceptable.
-    """
-    gaps = np.asarray(gaps, dtype=float)
-    if gaps.ndim != 1 or gaps.size == 0 or not np.all(np.isfinite(gaps)):
-        raise ValueError("gaps must be a finite 1-d vector")
-    gaps = gaps.tolist()
-    q = []
-    m = 1.0
-    for gap in gaps:
-        fill = min(max(gap, 0.0), m)
-        q.append(fill)
-        m -= fill
-    if m > 0.0:
-        q[gaps.index(max(gaps))] += m  # the first of the largest gaps
-    return ActionDistribution(np.array(q))
-
-
-def inner_sup_value(dist: ActionDistribution | np.ndarray, scores: OracleScores, scale: float) -> float:
-    """Adversary's best response value against a play distribution, in closed form.
-
-    The adversary picks a distribution over the discretized estimate domain
-    (zero vector plus ``scale``-spiked coordinates, each spike capped at
-    probability ``1/scale``) to maximize the expected charge net of the
-    oracle minima.  Capping makes the optimum a capped fill from the top
-    coordinate down, which collapses to
-    ``sum_i max(z_i - z_0, 0)/scale + z_0`` with ``z_i = scale*q_i -
-    minima[i]`` and ``z_0 = -minima[0]``.  Requires ``scale >= K`` so the
-    fill never runs out of room.
-    """
-    probs = dist.probs if isinstance(dist, ActionDistribution) else np.asarray(dist, dtype=float)
-    return float(inner_sup_values(probs[None, :], scores, scale)[0])
-
-
-def inner_sup_values(prob_rows: np.ndarray, scores: OracleScores, scale: float) -> np.ndarray:
-    """Vectorized :func:`inner_sup_value` over rows of play distributions."""
-    prob_rows = np.asarray(prob_rows, dtype=float)
-    if prob_rows.ndim != 2:
-        raise ValueError(f"prob_rows must be 2-d, got shape {prob_rows.shape}")
-    k = prob_rows.shape[1]
-    if k != scores.num_actions:
-        raise ValueError(f"got {k}-action rows for {scores.num_actions}-action scores")
-    if scale < k:
-        raise ValueError(f"scale must be >= K, got scale={scale}, K={k}")
-    z = scale * prob_rows - scores.minima[1:]
-    z0 = -scores.minima[0]
-    return np.maximum(z - z0, 0.0).sum(axis=1) / scale + z0
-
-
 def play_distribution(answers: Sequence[int], config: LearnerConfig) -> ActionDistribution:
-    """Water-fill the answers' gaps, then mix with uniform for the exploration floor.
+    """Pick the round's play: the config's vertex play of the answers' gap vertex.
 
     Integer answers make the gaps ``answers[a] - answers[0]`` a vertex: K
-    entries, each 0 or 1, at most one 1.  Its water-fill is ``e_a`` for the
-    action ``a`` with gap 1, else ``e_1`` (the lowest-index tie rule), so the
-    play is the config's ``vertex_plays[a-1]``.  Anything else is rejected.
+    entries, each 0 or 1, at most one 1.  The play is ``vertex_plays[a-1]``
+    for the action ``a`` with gap 1, else (a tie) ``vertex_plays[0]``: the
+    water-fill of the gaps mixed with uniform.  Anything else is rejected.
     """
     gaps = [answer - answers[0] for answer in answers[1:]]
     ones = gaps.count(1)
@@ -324,27 +236,6 @@ def play_distribution(answers: Sequence[int], config: LearnerConfig) -> ActionDi
             f"answers {answers} are not a vertex of {config.K} actions: integer gaps 0 or 1, at most one 1"
         )
     return config.vertex_plays[gaps.index(1) if ones else 0]
-
-
-def relaxation_value(
-    past: np.ndarray,
-    t: int,
-    rho: np.ndarray,
-    config: LearnerConfig,
-    oracle: ValueOracle,
-) -> float:
-    """Single-draw potential of the game after ``t`` rounds.
-
-    Minus ``scale`` times the oracle value on the (U, K) coin count
-    (:func:`past_loss_matrix`) plus the future loss matrix of ``rho``, the
-    draw for rounds ``t+1 .. T`` (:func:`sample_future`), plus the
-    exploration budget ``(T - t) * K / scale`` for the remaining rounds.
-    One oracle call.
-    """
-    if not 0 <= t <= config.T:
-        raise ValueError(f"round {t} outside the horizon 0..{config.T}")
-    value = oracle.value_arrays(_base_matrix(past, rho, config, oracle))
-    return -config.scale * value + (config.T - t) * config.K / config.scale
 
 
 class RelaxationLearner:
@@ -363,12 +254,12 @@ class RelaxationLearner:
         oracle: ValueOracle,
         context_source: ContextSource,
     ) -> None:
-        _check_inputs(config, context_source, oracle.policy_class)
+        _check_inputs(config, context_source, oracle)
         self.config = config
         self.oracle = oracle
         self.context_source = context_source
         self.round = 1  # the next round to play
-        self._past = np.zeros((oracle.policy_class.num_contexts, config.K), dtype=np.int64)
+        self._past = np.zeros(oracle.shape, dtype=np.int64)
         self.max_raw_coin_prob = 0.0  # the coin's Bernoulli parameter before clamping to 1
 
     def play_round(
@@ -390,7 +281,7 @@ class RelaxationLearner:
         config, source = self.config, self.context_source
         if t > config.T:
             raise ValueError(f"round {t} beyond horizon {config.T}")
-        check_context(x_t, self.oracle.policy_class.num_contexts)
+        check_context(x_t, self.oracle.shape[0])
         if isinstance(source, ContextSequence) and x_t != source.ids[t - 1]:
             raise ValueError(f"round {t} has the known context {source.ids[t - 1]}, got {x_t}")
         rho = sample_future(t, config, source, rng)

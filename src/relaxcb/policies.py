@@ -163,9 +163,9 @@ class OracleStats:
 class ValueOracle:
     """Offline optimization oracle over a finite policy class.
 
-    Exposes only the *value* of the best policy on a weighted example
-    sequence, never the policy itself.  Each call increments ``stats.calls``
-    by exactly one, whether it answers or rejects the query.
+    Exposes only ``shape``, the (U, K) shape of a query, and the *value* of
+    the best policy on a query, never the policy itself.  Each call
+    increments ``stats.calls`` by exactly one, answered or rejected.
 
     A full query is answered through context blocks of ``g`` contexts
     (:func:`_block_size`): for each block a lookup table of all ``K**g``
@@ -184,7 +184,7 @@ class ValueOracle:
         self.policy_class = policy_class
         self.stats = OracleStats()
         n, u, k = policy_class.num_policies, policy_class.num_contexts, policy_class.num_actions
-        self._shape = (u, k)
+        self.shape = (u, k)
         self._bound = _INT64_MAX // u  # U cells this large sum to at most 2**63 - 1
         self._block = g = _block_size(n, u, k)
         blocks = -(-u // g)
@@ -215,8 +215,8 @@ class ValueOracle:
         is copied, never a view.
         """
         self.stats.increment()
-        if losses.shape != self._shape:
-            raise ValueError(f"losses has shape {losses.shape}, expected {self._shape}")
+        if losses.shape != self.shape:
+            raise ValueError(f"losses has shape {losses.shape}, expected {self.shape}")
         if losses.dtype != np.int64:
             raise TypeError(f"losses must be an int64 matrix, got {losses.dtype}")
         cells = losses.ravel()
@@ -229,7 +229,7 @@ class ValueOracle:
                 value = int(cells[cell])
                 if abs(value) > self._bound:
                     raise ValueError(self._out_of_bounds())
-                x, a = divmod(cell, self._shape[1])
+                x, a = divmod(cell, self.shape[1])
                 column = self._column
                 if column[0] is not last or column[1] != x:
                     column = (last, x, *self._column_minima(last_totals, x))
@@ -253,7 +253,7 @@ class ValueOracle:
         g = self._block
         if g == 1:
             return cells
-        k = self._shape[1]
+        k = self.shape[1]
         rows = np.concatenate((cells, self._pad)).reshape(-1, g, k)
         tables = rows[:, g - 1]
         for j in range(g - 2, -1, -1):
@@ -268,7 +268,7 @@ class ValueOracle:
         exact.
         """
         actions = self._actions[x]
-        least = np.full(self._shape[1], _INT64_MAX)
+        least = np.full(self.shape[1], _INT64_MAX)
         np.minimum.at(least, actions, totals)
         mins = [
             m if m < _INT64_MAX or (actions == a).any() else math.inf  # no policy plays a at x

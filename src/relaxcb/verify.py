@@ -5,7 +5,8 @@ simplex grids, polytope vertex enumeration, exact convolution, Monte Carlo
 -- so the fast closed forms elsewhere in the package are checked against a
 second route, not against themselves.  The learner's in-law future draw has
 its reference here: the round-by-round sampler it replaced and that
-sampler's exact law.
+sampler's exact law.  So has its vertex play: the real-valued minimax step
+(scores, water-filling, best response, potential), which only checks use.
 """
 
 from __future__ import annotations
@@ -23,24 +24,139 @@ from .environments import ContextDistribution, ContextSequence
 from .learner import (
     ContextSource,
     LearnerConfig,
-    OracleScores,
+    _base_matrix,
     _check_inputs,
-    inner_sup_values,
     oracle_scores,
     past_loss_matrix,
     play_distribution,
-    relaxation_value,
     sample_future,
 )
 from .policies import PolicyClass, ValueOracle, random_policy_class
+
+
+@dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the minima and gaps arrays
+class OracleScores:
+    """Real-valued oracle minima and their normalized gaps, for the minimax checks.
+
+    ``minima[i]`` is the best cumulative loss over the class when an extra
+    ``scale``-sized charge on action ``i`` at the current context is added
+    to the sequence (``minima[0]``: no charge).  ``gaps[i-1]`` is
+    ``(minima[i] - minima[0]) / scale``, the normalized price of action
+    ``i``.  Only the minimax checks build these; the round keeps integers.
+    """
+
+    minima: np.ndarray  # (K+1,)
+    gaps: np.ndarray    # (K,)
+
+    def __post_init__(self) -> None:
+        minima = np.asarray(self.minima, dtype=float)
+        gaps = np.asarray(self.gaps, dtype=float)
+        if minima.ndim != 1 or minima.size < 2 or gaps.shape != (minima.size - 1,):
+            raise ValueError("scores need K+1 minima and K gaps")
+        if not (np.all(np.isfinite(minima)) and np.all(np.isfinite(gaps))):
+            raise ValueError("scores must be finite")
+        minima.flags.writeable = False
+        gaps.flags.writeable = False
+        object.__setattr__(self, "minima", minima)
+        object.__setattr__(self, "gaps", gaps)
+
+    @property
+    def num_actions(self) -> int:
+        return int(self.gaps.size)
+
+    @classmethod
+    def from_minima(cls, minima: np.ndarray, scale: float) -> "OracleScores":
+        minima = np.asarray(minima, dtype=float)
+        return cls(minima=minima, gaps=(minima[1:] - minima[0]) / scale)
+
+
+def water_fill(gaps) -> ActionDistribution:
+    """Sequentially fill coordinates up to their (positive) gaps.
+
+    Walks coordinates in order 1..K, assigning ``min(max(gap, 0), m)`` to
+    each while mass ``m`` (initially 1) lasts.  Any remaining mass goes to
+    the largest gap, ties to the lowest index.  Any real gap vector is
+    acceptable.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.ndim != 1 or gaps.size == 0 or not np.all(np.isfinite(gaps)):
+        raise ValueError("gaps must be a finite 1-d vector")
+    gaps = gaps.tolist()
+    q = []
+    m = 1.0
+    for gap in gaps:
+        fill = min(max(gap, 0.0), m)
+        q.append(fill)
+        m -= fill
+    if m > 0.0:
+        q[gaps.index(max(gaps))] += m  # the first of the largest gaps
+    return ActionDistribution(np.array(q))
+
+
+def _spike_payoffs(probs: np.ndarray, scores: OracleScores, scale: float) -> tuple[np.ndarray, float]:
+    """Spike payoffs ``z = scale * q - minima[1:]`` and ``z0 = -minima[0]``, after checking K and ``scale >= K``."""
+    k = probs.shape[-1]
+    if k != scores.num_actions:
+        raise ValueError(f"play distributions have {k} actions, the scores {scores.num_actions}")
+    if scale < k:
+        raise ValueError(f"scale must be >= K, got scale={scale}, K={k}")
+    return scale * probs - scores.minima[1:], -scores.minima[0]
+
+
+def inner_sup_value(dist: ActionDistribution | np.ndarray, scores: OracleScores, scale: float) -> float:
+    """Adversary's best response value against a play distribution, in closed form.
+
+    The adversary picks a distribution over the discretized estimate domain
+    (zero vector plus ``scale``-spiked coordinates, each spike capped at
+    probability ``1/scale``) to maximize the expected charge net of the
+    oracle minima.  Capping makes the optimum a capped fill from the top
+    coordinate down, which collapses to
+    ``sum_i max(z_i - z_0, 0)/scale + z_0`` with ``z_i = scale*q_i -
+    minima[i]`` and ``z_0 = -minima[0]``.  Requires ``scale >= K`` so the
+    fill never runs out of room.
+    """
+    probs = dist.probs if isinstance(dist, ActionDistribution) else np.asarray(dist, dtype=float)
+    return float(inner_sup_values(probs[None, :], scores, scale)[0])
+
+
+def inner_sup_values(prob_rows: np.ndarray, scores: OracleScores, scale: float) -> np.ndarray:
+    """Vectorized :func:`inner_sup_value` over rows of play distributions."""
+    prob_rows = np.asarray(prob_rows, dtype=float)
+    if prob_rows.ndim != 2:
+        raise ValueError(f"prob_rows must be 2-d, got shape {prob_rows.shape}")
+    z, z0 = _spike_payoffs(prob_rows, scores, scale)
+    return np.maximum(z - z0, 0.0).sum(axis=1) / scale + z0
+
+
+def relaxation_value(
+    past: np.ndarray,
+    t: int,
+    rho: np.ndarray,
+    config: LearnerConfig,
+    oracle: ValueOracle,
+) -> float:
+    """Single-draw potential of the game after ``t`` rounds.
+
+    Minus ``scale`` times the oracle value on the (U, K) coin count
+    (``learner.past_loss_matrix``) plus the future loss matrix of ``rho``,
+    the draw for rounds ``t+1 .. T`` (``learner.sample_future``), plus the
+    exploration budget ``(T - t) * K / scale`` for the remaining rounds.
+    One oracle call.
+    """
+    if not 0 <= t <= config.T:
+        raise ValueError(f"round {t} outside the horizon 0..{config.T}")
+    value = oracle.value_arrays(_base_matrix(past, rho, config, oracle))
+    return -config.scale * value + (config.T - t) * config.K / config.scale
 
 
 def simplex_grid(num_actions: int, mesh: float) -> np.ndarray:
     """All probability vectors with coordinates on a ``mesh``-spaced grid.
 
     Supports 2 or 3 actions; the K=3 grid at mesh 1e-3 already has ~5e5
-    points, so anything larger is refused.
+    points, so anything larger is refused.  ``mesh`` must lie in (0, 1].
     """
+    if not 0.0 < mesh <= 1.0:  # a NaN fails the comparison
+        raise ValueError(f"mesh must lie in (0, 1], got {mesh}")
     n = round(1.0 / mesh)
     if abs(n * mesh - 1.0) > 1e-9:
         raise ValueError(f"mesh {mesh} must divide 1 evenly")
@@ -87,13 +203,8 @@ def sup_by_vertex_enumeration(probs, scores: OracleScores, scale: float) -> floa
     objective is the maximum over those patterns.
     """
     probs = np.asarray(probs, dtype=float)
+    z, z0 = _spike_payoffs(probs, scores, scale)
     k = probs.size
-    if k != scores.num_actions:
-        raise ValueError("probs and scores disagree on K")
-    if scale < k:
-        raise ValueError(f"scale must be >= K, got scale={scale}, K={k}")
-    z = scale * probs - scores.minima[1:]
-    z0 = -scores.minima[0]
     best = -math.inf
     for pattern in range(2**k):
         members = [i for i in range(k) if pattern >> i & 1]
@@ -101,6 +212,26 @@ def sup_by_vertex_enumeration(probs, scores: OracleScores, scale: float) -> floa
         value = sum(z[i] for i in members) / scale + p0 * z0
         best = max(best, value)
     return best
+
+
+def minimax_check(cases: Sequence[tuple[int, float, int]], rng: np.random.Generator) -> tuple[bool, float]:
+    """Water-filling against grid search on ``count`` random instances per ``(K, mesh, count)`` case.
+
+    Returns whether water-filling stayed within ``scale * mesh + 1e-6`` of the
+    grid minimum, and its worst excess.  Each instance draws a scale of K or
+    2K, then K normal charged minima of that spread beside a zero base.
+    """
+    worst_gap = 0.0
+    ok = True
+    for k, mesh, count in cases:
+        for _ in range(count):
+            scale = float(k * rng.integers(1, 3))
+            scores = OracleScores.from_minima(np.concatenate([[0.0], rng.normal(0.0, scale, size=k)]), scale)
+            achieved = inner_sup_value(water_fill(scores.gaps), scores, scale)
+            _, grid_min = brute_force_minimax(scores, scale, mesh)
+            worst_gap = max(worst_gap, achieved - grid_min)
+            ok = ok and achieved <= grid_min + scale * mesh + 1e-6
+    return ok, worst_gap
 
 
 @dataclass
@@ -140,13 +271,16 @@ def unbiasedness_check(
     about 1 seed in 100: ``1 - (1 - 0.0027)**4 = 1.1%`` under the normal
     approximation, and 2 of 300 seeds failed in practice.
 
-    A given ``costs`` must have shape ``(num_actions,)`` and entries in
+    ``scale`` must be at least ``num_actions`` (the floor's feasibility), a
+    given ``costs`` must have shape ``(num_actions,)`` and entries in
     [0, 1], and ``draws`` must be at least 1; anything else raises
     ``ValueError`` before the first draw.  Coins are counted in Python ints
     and each mean is ``count * scale / draws``.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if not scale >= num_actions:  # a NaN fails the comparison
+        raise ValueError(f"scale must be >= num_actions, got scale={scale}, num_actions={num_actions}")
     if costs is not None:
         costs = np.asarray(costs, dtype=float)
         if costs.shape != (num_actions,):
@@ -336,7 +470,9 @@ class AdmissibilityResult:
 
 
 def cost_grid(num_actions: int, mesh: float = 0.25) -> np.ndarray:
-    """All cost vectors with coordinates on a mesh over [0, 1] (corners included)."""
+    """All cost vectors with coordinates on a mesh over [0, 1] (corners included); ``mesh`` in (0, 1]."""
+    if not 0.0 < mesh <= 1.0:
+        raise ValueError(f"mesh must lie in (0, 1], got {mesh}")
     levels = np.round(np.arange(0.0, 1.0 + mesh / 2, mesh), 12)
     grids = np.meshgrid(*([levels] * num_actions), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -377,9 +513,9 @@ def admissibility_check(
         raise ValueError("history already spans the whole horizon")
     if not isinstance(context_dist, ContextDistribution):
         raise TypeError("admissibility_check needs a ContextDistribution to average the current context over")
-    _check_inputs(config, context_dist, policy_class)
-    num_contexts = policy_class.num_contexts
     oracle = ValueOracle(policy_class)
+    _check_inputs(config, context_dist, oracle)
+    num_contexts = policy_class.num_contexts
     k, scale = config.K, config.scale
     grid = cost_grid(k, mesh)
     past = past_loss_matrix(history, num_contexts, k)

@@ -1,4 +1,9 @@
-"""Learner operations: tuning, sampling, scoring, water-filling, vertex plays, stepping."""
+"""Learner operations: tuning, sampling, scoring, vertex plays, stepping, and the oracle-only contract.
+
+The real-valued minimax reference the vertex plays are checked against
+(``relaxcb.verify``: scores, water-filling, the inner supremum and the
+potential) is exercised here too, through the package exports.
+"""
 
 import dataclasses
 import json
@@ -37,6 +42,7 @@ from relaxcb import (
 from relaxcb import learner as learner_module
 from relaxcb.learner import past_loss_matrix
 from relaxcb.verify import brute_force_minimax
+from test_verify import make_scores
 
 
 class TestLearnerConfig:
@@ -191,6 +197,11 @@ class TestContextSourceSize:
             RelaxationLearner(cfg, oracle, ContextDistribution.uniform(2))
         with pytest.raises(ValueError, match=message):
             admissibility_check(self.pc, cfg, ContextDistribution.uniform(2), [], 5, np.random.default_rng(0))
+        # the functional path reads K from the oracle too, and refuses before any call
+        with pytest.raises(ValueError, match=message):
+            oracle_scores(zeros((2, 2)), 0, zeros((2, 2)), cfg, oracle)
+        with pytest.raises(ValueError, match=message):
+            relaxation_value(zeros((2, 2)), 0, zeros((2, 2)), cfg, oracle)
         assert oracle.stats.calls == 0
 
 
@@ -202,10 +213,6 @@ def action_of(policy_class, policy, context):
 def zeros(shape):
     """An all-zero int64 count matrix."""
     return np.zeros(shape, dtype=np.int64)
-
-
-def make_scores(minima, scale):
-    return OracleScores.from_minima(np.asarray(minima, dtype=float), scale)
 
 
 def make_record(context, estimate, k, action=1):
@@ -698,6 +705,44 @@ class TestStep:
         assert learner.round == 1
         learner.play_round(0, lambda a: 0.5, np.random.default_rng(0))
         assert learner.round == 2
+
+
+class TestOracleOnly:
+    """The learner reaches the policy class only through the oracle's query shape and answers."""
+
+    @pytest.mark.parametrize("transductive", [False, True], ids=["iid", "transductive"])
+    def test_table_free_oracle_drives_a_full_run(self, transductive):
+        rng = np.random.default_rng(17)
+        k, u, n, horizon, scale = 3, 4, 9, 60, 5.5
+        rows = rng.integers(0, k, size=(n, u)).tolist()  # 0-based actions, held by this test only
+        contexts = rng.integers(0, u, size=horizon)
+        costs = rng.random((horizon, k))
+
+        class TableFreeOracle:
+            """The query shape, ``value_arrays`` by enumeration over ``rows``, and a call count; nothing else."""
+
+            __slots__ = ("shape", "calls")
+
+            def __init__(self):
+                self.shape = (u, k)
+                self.calls = 0
+
+            def value_arrays(self, losses):
+                self.calls += 1
+                return min(sum(int(losses[x, a]) for x, a in enumerate(row)) for row in rows)
+
+        def run(oracle):
+            cfg = LearnerConfig(K=k, T=horizon, scale=scale)
+            source = ContextSequence(contexts, u) if transductive else ContextDistribution.uniform(u)
+            learner = RelaxationLearner(cfg, oracle, source)
+            play_rng = np.random.default_rng(5)
+            records = [learner.play_round(int(x), lambda a: costs[t, a - 1], play_rng) for t, x in enumerate(contexts)]
+            return [(r.played_action, r.played_dist.probs.tolist(), r.estimate.coordinate) for r in records]
+
+        double = TableFreeOracle()
+        real = ValueOracle(PolicyClass(table=np.array(rows) + 1, num_actions=k))
+        assert run(double) == run(real)
+        assert double.calls == real.stats.calls == horizon * (k + 1)
 
 
 def reference_replay(table, num_actions, scale, contexts, costs, rng, probs=None):

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from relaxcb import (
+    ActionDistribution,
     ContextDistribution,
     LearnerConfig,
     OracleScores,
@@ -24,6 +25,8 @@ from relaxcb import (
     unbiasedness_check,
     water_fill,
 )
+from relaxcb import verify
+from relaxcb.verify import cost_grid, minimax_check
 
 
 def make_scores(minima, scale):
@@ -76,6 +79,21 @@ class TestSimplexGrid:
         with pytest.raises(ValueError, match="mesh"):
             simplex_grid(2, 0.3)
 
+    @pytest.mark.parametrize("mesh", [-1.0, -0.25, 0.0, 1.5, math.nan])
+    def test_rejects_mesh_outside_the_unit_interval(self, mesh):
+        # -1 used to give an empty grid, 0 a ZeroDivisionError
+        message = re.escape(f"mesh must lie in (0, 1], got {mesh}")
+        with pytest.raises(ValueError, match=message):
+            simplex_grid(2, mesh)
+        with pytest.raises(ValueError, match=message):
+            brute_force_minimax(make_scores([0.0, 1.0, 2.0], 4.0), 4.0, mesh)
+        with pytest.raises(ValueError, match=message):
+            cost_grid(2, mesh)
+
+    def test_cost_grid_corners(self):
+        assert cost_grid(2, 1.0).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        assert cost_grid(3, 0.25).shape == (125, 3)
+
 
 class TestVertexEnumeration:
     def test_matches_linear_program(self):
@@ -98,6 +116,42 @@ class TestVertexEnumeration:
             assert res.success
             enumerated = sup_by_vertex_enumeration(q, scores, scale)
             assert enumerated == pytest.approx(-res.fun, abs=1e-9)
+
+
+class TestSpikePayoffs:
+    """The closed form and the vertex sweep share their argument checks."""
+
+    @pytest.mark.parametrize("reference", [inner_sup_value, sup_by_vertex_enumeration])
+    def test_rejects_mismatched_k_and_small_scale(self, reference):
+        scores = make_scores([0.0, 1.0, 2.0], scale=4.0)
+        with pytest.raises(ValueError, match="play distributions have 3 actions, the scores 2"):
+            reference(np.full(3, 1 / 3), scores, 4.0)
+        with pytest.raises(ValueError, match="scale must be >= K, got scale=1.5, K=2"):
+            reference(np.full(2, 0.5), scores, 1.5)
+
+
+class TestMinimaxCheck:
+    def test_passes_and_draws_as_documented(self):
+        rng = np.random.default_rng(21)
+        cases = [(2, 1e-3, 6), (3, 1e-2, 3)]
+        ok, worst_gap = minimax_check(cases, rng)
+        assert ok and 0.0 <= worst_gap <= 1e-12
+        twin = np.random.default_rng(21)
+        for k, _, count in cases:
+            for _ in range(count):
+                twin.integers(1, 3)
+                twin.normal(0.0, 1.0, size=k)
+        assert rng.random() == twin.random()
+
+    def test_slack_sets_what_a_wrong_minimizer_can_hide(self, monkeypatch):
+        # the grid minimum is never below the exact one, so only a wrong
+        # minimizer can fail: uniform play fails against a fine grid, while
+        # a mesh of 1/2 puts uniform play on the grid and its slack hides it
+        monkeypatch.setattr(verify, "water_fill", lambda gaps: ActionDistribution.uniform(len(gaps)))
+        ok, worst_gap = minimax_check([(2, 1e-3, 20)], np.random.default_rng(22))
+        assert not ok and worst_gap > 2 * 1e-3
+        ok, worst_gap = minimax_check([(2, 0.5, 20)], np.random.default_rng(22))
+        assert ok and worst_gap <= 1.0  # values differ by at most |q - q'|_1, 1 from uniform to any K=2 grid point
 
 
 class TestBruteForceMinimax:
@@ -151,6 +205,14 @@ class TestUnbiasednessCheck:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError, match="draws must be >= 1, got 0"):
             unbiasedness_check(3, 6.0, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scale", [2.0, 3.9, math.nan])
+    def test_rejects_scale_below_num_actions_before_any_draw(self, scale):
+        # 2.0 and 3.9 used to fail only inside the loop, at the coin's floor
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=re.escape(f"scale must be >= num_actions, got scale={scale}, num_actions=4")):
+            unbiasedness_check(4, scale, 100, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestPerturbationBoundCheck:
@@ -261,6 +323,16 @@ class TestAdmissibilityCheck:
         cfg = LearnerConfig(K=2, T=2, scale=3.0)
         with pytest.raises(ValueError, match="draws must be >= 1, got 0"):
             admissibility_check(pc, cfg, ContextDistribution.uniform(2), [], 0, rng)
+
+    @pytest.mark.parametrize("mesh", [-0.25, 0.0])
+    def test_rejects_mesh_before_any_draw(self, mesh):
+        # -0.25 used to spend every draw and then fail on an empty argmax, 0 raised ZeroDivisionError
+        rng = np.random.default_rng(10)
+        pc = random_policy_class(4, 2, 2, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mesh must lie in"):
+            admissibility_check(pc, LearnerConfig(K=2, T=2, scale=3.0), ContextDistribution.uniform(2), [], 50, rng, mesh)
+        assert rng.bit_generator.state == state
 
     def test_rejects_exhausted_horizon(self):
         rng = np.random.default_rng(10)
