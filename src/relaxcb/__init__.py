@@ -9,7 +9,6 @@ from .core import (
     ActionDistribution,
     ActionIndex,
     Context,
-    EstimatedCost,
     HistoryRecord,
     build_estimate,
     draw_estimator_coin,
@@ -70,7 +69,6 @@ __all__ = [
     "ContextDistribution",
     "ContextSequence",
     "CostSchedule",
-    "EstimatedCost",
     "Exp4Learner",
     "ExperimentResult",
     "HistoryRecord",

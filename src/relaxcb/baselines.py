@@ -44,8 +44,7 @@ class Exp4Learner:
         k = self.policy_class.num_actions
         w = np.exp(self.log_weights - self.log_weights.max())
         w = w / w.sum()
-        actions0 = self.policy_class.actions_for(x_t) - 1
-        profile = np.bincount(actions0, weights=w, minlength=k)
+        profile = np.bincount(self.policy_class.by_context[x_t], weights=w, minlength=k)
         probs = (1.0 - self.exploration) * profile + self.exploration / k
         return ActionDistribution(probs)
 
@@ -71,7 +70,7 @@ class Exp4Learner:
             context=x_t, played_dist=dist, played_action=action, observed_cost=cost, estimate=None
         )
         estimated = cost / float(dist.probs[action - 1])
-        played = self.policy_class.actions_for(x_t) == action
+        played = self.policy_class.by_context[x_t] == action - 1
         self.log_weights = self.log_weights - self.learning_rate * estimated * played
         self.log_weights -= self.log_weights.max()
         return record

@@ -2,8 +2,10 @@
 
 Conventions used throughout the package:
 
-* Actions are 1-based integers in ``1..K``.  Coordinate 0 is reserved for
-  the all-zeros element of the estimate domain (see :class:`EstimatedCost`).
+* Actions are 1-based integers in ``1..K``.  A round's discretized cost
+  estimate is an integer coordinate: 0 for the all-zeros vector, else the
+  played action, which carries one coin of ``scale`` (see
+  :func:`build_estimate`).
 * Contexts are opaque integer ids in ``0..U-1`` over a finite universe;
   policies act on these ids only.
 * Every stochastic operation takes an explicit :class:`numpy.random.Generator`
@@ -106,35 +108,19 @@ class ActionDistribution:
 
 
 @dataclass(frozen=True)
-class EstimatedCost:
-    """Discretized importance-weighted cost estimate, in coin units.
-
-    A realized estimate is either the zero vector (``coordinate == 0``) or
-    one coin at exactly one action's coordinate; no other values occur.
-    Keeping the coordinate instead of a dense vector makes the invariant
-    structural; a coin is worth the learner config's ``scale``.
-    """
-
-    coordinate: int  # 0 for the zero vector, else the 1-based action
-
-    def __post_init__(self) -> None:
-        if self.coordinate < 0:
-            raise ValueError(f"coordinate must be >= 0, got {self.coordinate}")
-
-
-@dataclass(frozen=True)
 class HistoryRecord:
     """One completed round of any learner: what was seen, played, observed and estimated.
 
-    ``estimate`` is the discretized cost estimate of the relaxation learner,
-    and ``None`` for a learner that keeps none (Exp4, uniform play).
+    ``estimate`` is the relaxation learner's discretized cost estimate as
+    its coordinate (0, or the played action when the coin came up), and
+    ``None`` for a learner that keeps none (Exp4, uniform play).
     """
 
     context: Context
     played_dist: ActionDistribution
     played_action: ActionIndex
     observed_cost: float
-    estimate: EstimatedCost | None
+    estimate: int | None
 
     def __post_init__(self) -> None:
         k = self.played_dist.num_actions
@@ -142,7 +128,7 @@ class HistoryRecord:
             raise ValueError(f"played action {self.played_action} outside 1..{k}")
         if not 0.0 <= self.observed_cost <= 1.0:
             raise ValueError(f"observed cost {self.observed_cost} outside [0, 1]")
-        if self.estimate is not None and self.estimate.coordinate not in (0, self.played_action):
+        if self.estimate not in (None, 0, self.played_action):
             raise ValueError("estimate coordinate must be 0 or the played action")
 
 
@@ -162,10 +148,10 @@ def draw_estimator_coin(cost: float, prob: float, scale: float, rng: np.random.G
     return int(rng.random() < p)
 
 
-def build_estimate(played: ActionIndex, coin: int) -> EstimatedCost:
-    """Assemble the estimate for one round from the played action and its coin."""
+def build_estimate(played: ActionIndex, coin: int) -> int:
+    """The estimate's coordinate for one round: ``played`` if the coin came up, else 0."""
     if played < 1:
         raise ValueError(f"played action must be >= 1, got {played}")
     if coin not in (0, 1):
         raise ValueError(f"coin must be 0 or 1, got {coin}")
-    return EstimatedCost(coordinate=played if coin else 0)
+    return played if coin else 0

@@ -67,7 +67,7 @@ class ContextSequence:
 class CostSchedule:
     """A full horizon of cost vectors, fixed before the run (oblivious)."""
 
-    costs: np.ndarray  # (T, K), entries in [0, 1]
+    costs: np.ndarray  # (T, K), entries in [0, 1]; costs[t - 1, a - 1] is action a's cost at round t
 
     def __post_init__(self) -> None:
         costs = np.asarray(self.costs, dtype=float)
@@ -77,9 +77,6 @@ class CostSchedule:
             raise ValueError("cost entries must lie in [0, 1]")
         costs.flags.writeable = False
         object.__setattr__(self, "costs", costs)
-
-    def cost(self, t: int, action: int) -> float:
-        return float(self.costs[t - 1, action - 1])
 
 
 def make_adversary(

@@ -12,7 +12,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +243,6 @@ class RunResult:
     cumulative_realized_regret: np.ndarray
     comparator_loss: float
     oracle_calls: int
-    seed: int
     rep: int
     min_play_prob: float
     max_coin_prob: float
@@ -269,7 +268,6 @@ class ExperimentResult:
     bound: np.ndarray
     wall_time: float
     oracle_calls_total: int
-    paths: dict = field(default_factory=dict)
 
     @property
     def final_regret_mean(self) -> float:
@@ -313,7 +311,6 @@ def run_experiment(config: dict) -> ExperimentResult:
                 source=source,
                 contexts=contexts,
                 rng=np.random.default_rng(learner_ss),
-                seed=cfg["seed"],
                 rep=rep,
             )
         )
@@ -350,11 +347,10 @@ def _run_one(
     source: ContextSource,
     contexts: np.ndarray,
     rng: np.random.Generator,
-    seed: int,
     rep: int,
 ) -> RunResult:
     horizon, k = learner_config.T, learner_config.K
-    by_context = np.subtract(policy_class.table.T, 1, order="C")  # row x: every policy's action index at x
+    by_context = policy_class.by_context
     per_policy = np.zeros(policy_class.num_policies)
     played = np.empty(horizon, dtype=np.int64)
     expected = np.empty(horizon)
@@ -396,7 +392,6 @@ def _run_one(
         cumulative_realized_regret=realized_regret,
         comparator_loss=float(per_policy.min()),
         oracle_calls=oracle.stats.calls if oracle is not None else 0,
-        seed=seed,
         rep=rep,
         min_play_prob=min_play,
         max_coin_prob=min(raw_coin, 1.0),
@@ -414,7 +409,7 @@ def _fmt(x: float) -> str:
 
 
 def emit_outputs(result: ExperimentResult, out_dir) -> dict:
-    """Write the canonical CSV, the realized-cost CSV and the JSON summary.
+    """Write the canonical CSV, the realized-cost CSV and the JSON summary; return their paths by name.
 
     The CSVs are a pure function of (config, seed): re-running the same
     experiment reproduces them byte for byte.  Wall time lives only in the
@@ -461,9 +456,4 @@ def emit_outputs(result: ExperimentResult, out_dir) -> dict:
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", newline="\n")
 
-    result.paths = {
-        "regret_csv": regret_path,
-        "realized_csv": realized_path,
-        "summary_json": summary_path,
-    }
-    return result.paths
+    return {"regret_csv": regret_path, "realized_csv": realized_path, "summary_json": summary_path}

@@ -172,8 +172,8 @@ def past_loss_matrix(history: Sequence[HistoryRecord], num_contexts: int, num_ac
     for rec in history:
         if rec.estimate is None:
             raise ValueError(f"round at context {rec.context} has no estimate to sum")
-        if rec.estimate.coordinate:
-            mat[rec.context, rec.estimate.coordinate - 1] += 1
+        if rec.estimate:
+            mat[rec.context, rec.estimate - 1] += 1
     return mat
 
 

@@ -1,10 +1,13 @@
 """Finite policy classes and the offline cumulative-loss optimization oracle.
 
 Policies are deterministic maps from context ids to actions, stored as an
-explicit ``(num_policies, num_contexts)`` lookup table.  The oracle answers
-one query: the minimum cumulative loss any single policy attains on a
-weighted example sequence.  It is exact enumeration and every invocation is
-counted, because the learner's efficiency claim is measured in oracle calls.
+explicit ``(num_policies, num_contexts)`` lookup table.  Its context-major
+0-based transpose, :attr:`PolicyClass.by_context`, is built once per class
+and is what the oracle, the harness's comparator, Exp4 and the perturbation
+check read.  The oracle answers one query: the minimum cumulative loss any
+single policy attains on a weighted example sequence.  It is exact
+enumeration and every invocation is counted, because the learner's
+efficiency claim is measured in oracle calls.
 
 Policies depend on the context id only, so a query is the (U, K) matrix
 whose row u sums the losses of the examples at context u.  Queries are int64
@@ -14,7 +17,8 @@ answer is an exact ``int``.  A full query groups the U contexts into blocks
 of g (:func:`_block_size`).  For each block it builds the table of all
 ``K**g`` sums of the block's cells with broadcast adds.  A ``(ceil(U / g),
 N)`` index, built once per oracle, then gathers each policy's entry of every
-block, and the rows are summed.  At g = 1 the table is the query itself.
+block, and the rows are summed.  At g = 1 the table is the query itself
+and the index is ``by_context`` plus each row's offset.
 :func:`best_policy_loss`, the comparator on real costs, sums a (T,) context
 sequence into a float (U, K) matrix instead (:func:`context_action_sums`).
 
@@ -31,13 +35,12 @@ query and column.  Any other query runs the full gather and is remembered.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import Context
 
 #: Smallest table (N * U cells) for which an oracle remembers its last full
 #: query; on smaller tables the bookkeeping can cost more than it saves.
@@ -86,9 +89,12 @@ class PolicyClass:
     def num_contexts(self) -> int:
         return int(self.table.shape[1])
 
-    def actions_for(self, context: Context) -> np.ndarray:
-        """Every policy's action on one context, as an (N,) vector."""
-        return self.table[:, context]
+    @functools.cached_property  # not a field, so it stays out of the dataclass's repr and fields
+    def by_context(self) -> np.ndarray:
+        """Read-only C-contiguous (U, N) int64 ``table.T - 1``: row x is every policy's 0-based action at x."""
+        actions = np.subtract(self.table.T, 1, order="C")
+        actions.flags.writeable = False
+        return actions
 
 
 def random_policy_class(
@@ -107,7 +113,7 @@ def random_policy_class(
         raise ValueError("table too small to cover every action")
     for _ in range(100):
         table = rng.integers(1, num_actions + 1, size=(num_policies, num_contexts))
-        if np.unique(table).size == num_actions:
+        if np.bincount(table.ravel(), minlength=num_actions + 1)[1:].all():
             return PolicyClass(table=table, num_actions=num_actions)
     raise ValueError("no action-covering table found in 100 tries")
 
@@ -170,14 +176,16 @@ class ValueOracle:
     A full query is answered through context blocks of ``g`` contexts
     (:func:`_block_size`): for each block a lookup table of all ``K**g``
     sums of the query's cells, and a contiguous ``(ceil(U / g), N)`` index
-    whose row b gives each policy's entry in block b's table.
+    whose row b gives each policy's entry in block b's table, built once
+    from the class's :attr:`PolicyClass.by_context`.
 
     On a table of at least :data:`REMEMBER_MIN_CELLS` cells the oracle keeps
     its last full query as one ``(cells, totals)`` tuple, and the per-action
-    minima of those totals over one context as one ``(snapshot, context,
-    mins, rest)`` tuple.  Each is replaced in a single assignment and never
-    mutated, and the minima are used only while their snapshot is the one a
-    call read, so under concurrent calls each answer stays exact.
+    minima of those totals over one context, grouped by that context's row
+    of ``by_context``, as one ``(snapshot, context, mins, rest)`` tuple.
+    Each is replaced in a single assignment and never mutated, and the
+    minima are used only while their snapshot is the one a call read, so
+    under concurrent calls each answer stays exact.
     """
 
     def __init__(self, policy_class: PolicyClass) -> None:
@@ -189,16 +197,12 @@ class ValueOracle:
         self._block = g = _block_size(n, u, k)
         blocks = -(-u // g)
         self._pad = np.zeros((blocks * g - u) * k, dtype=np.int64)  # cells of contexts filling the last block
-        # row u: every policy's 0-based action at u, in the smallest dtype that holds K
-        actions = policy_class.table.T.astype(np.min_scalar_type(k), order="C")
-        actions -= 1
-        self._actions = actions
         # row b: each policy's entry in block b's table, b * K**g plus the
         # block's 0-based actions as base-K digits (a filling context's is 0)
         index = np.zeros((blocks, n), dtype=np.int64)
         for j in range(g):
             index *= k
-            rows = actions[j::g]
+            rows = policy_class.by_context[j::g]
             index[: len(rows)] += rows
         index += (np.arange(blocks) * k**g)[:, None]
         self._index = index
@@ -267,7 +271,7 @@ class ValueOracle:
         is left), so a charged answer ``min(mins[a] + delta, rest[a])`` is
         exact.
         """
-        actions = self._actions[x]
+        actions = self.policy_class.by_context[x]
         least = np.full(self.shape[1], _INT64_MAX)
         np.minimum.at(least, actions, totals)
         mins = [

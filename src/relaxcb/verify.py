@@ -296,7 +296,7 @@ def unbiasedness_check(
     for _ in range(draws):
         action = sample_index(probs, rng) + 1
         coin = draw_estimator_coin(cost_of[action - 1], prob_of[action - 1], scale, rng)
-        coins[build_estimate(action, coin).coordinate] += 1
+        coins[build_estimate(action, coin)] += 1
     means = np.array(coins[1:]) * scale / draws
     stderr = np.sqrt(np.maximum(scale * costs - costs**2, 0.0) / draws)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,7 +359,7 @@ def rademacher_bound_check(
     policy_class = random_policy_class(num_policies, num_contexts, num_actions, rng)
     xs = rng.integers(0, num_contexts, size=horizon)
     # column p picks sign (t, policy p's action at x_t) out of a sample's flattened (T, K) signs
-    picked = np.arange(horizon)[:, None] * num_actions + policy_class.table[:, xs].T - 1  # (T, N)
+    picked = np.arange(horizon)[:, None] * num_actions + policy_class.by_context[xs]  # (T, N)
     selector = np.zeros((horizon * num_actions, num_policies))
     selector[picked, np.arange(num_policies)] = 1.0
 

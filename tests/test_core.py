@@ -1,7 +1,5 @@
 """Core types: distributions, estimates, and the estimator coin."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from relaxcb import (
     ActionDistribution,
     ContextDistribution,
     CostSchedule,
-    EstimatedCost,
     HistoryRecord,
     OracleScores,
     PolicyClass,
@@ -119,24 +116,22 @@ def test_array_value_types_compare_and_hash_by_identity(make):
 
 
 class TestEstimatedCost:
-    # the learner counts estimates into its (U, K) coin matrix, in units of its config's scale
+    # the learner counts estimate coordinates into its (U, K) coin matrix, in units of its config's scale
     @staticmethod
     def record(est):
         dist = ActionDistribution.uniform(3)
         return HistoryRecord(context=0, played_dist=dist, played_action=2, observed_cost=0.5, estimate=est)
 
     def test_spike_vector(self):
-        est = EstimatedCost(coordinate=2)
-        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 1, 0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(2)], 1, 3), [[0, 1, 0]])
 
     def test_zero_vector(self):
-        est = EstimatedCost(coordinate=0)
-        np.testing.assert_array_equal(past_loss_matrix([self.record(est)], 1, 3), [[0, 0, 0]])
+        np.testing.assert_array_equal(past_loss_matrix([self.record(0)], 1, 3), [[0, 0, 0]])
 
     def test_a_coordinate_and_nothing_else(self):
-        assert [f.name for f in dataclasses.fields(EstimatedCost)] == ["coordinate"]
-        with pytest.raises(ValueError, match="coordinate"):
-            EstimatedCost(coordinate=-1)
+        for coin, coordinate in [(1, 2), (0, 0)]:
+            est = build_estimate(2, coin)
+            assert type(est) is int and est == coordinate
 
 
 class TestHistoryRecord:
@@ -147,7 +142,7 @@ class TestHistoryRecord:
                 played_dist=ActionDistribution.uniform(3),
                 played_action=2,
                 observed_cost=0.5,
-                estimate=EstimatedCost(coordinate=1),
+                estimate=1,
             )
 
     def test_cost_range(self):
@@ -157,7 +152,7 @@ class TestHistoryRecord:
                 played_dist=ActionDistribution.uniform(3),
                 played_action=2,
                 observed_cost=1.5,
-                estimate=EstimatedCost(coordinate=2),
+                estimate=2,
             )
 
 
@@ -195,10 +190,10 @@ class TestEstimatorCoin:
 
 class TestBuildEstimate:
     def test_spike(self):
-        assert build_estimate(2, 1) == EstimatedCost(coordinate=2)
+        assert build_estimate(2, 1) == 2
 
     def test_zero(self):
-        assert build_estimate(2, 0).coordinate == 0
+        assert build_estimate(2, 0) == 0
 
     def test_rejects_bad_coin(self):
         with pytest.raises(ValueError, match="coin"):
@@ -211,7 +206,7 @@ class TestBuildEstimate:
         for _ in range(500):
             action = int(rng.integers(1, 5))
             coin = draw_estimator_coin(rng.random(), 0.25, scale, rng)
-            assert build_estimate(action, coin).coordinate == (action if coin else 0)
+            assert build_estimate(action, coin) == (action if coin else 0)
 
 
 class TestUnbiasedness:

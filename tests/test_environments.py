@@ -79,7 +79,7 @@ class TestCostSchedule:
 
     def test_round_lookup(self):
         sched = CostSchedule(np.array([[0.1, 0.2], [0.3, 0.4]]))
-        assert sched.cost(2, 1) == pytest.approx(0.3)
+        assert sched.costs[1, 0] == pytest.approx(0.3)
 
     def test_immutable(self):
         sched = CostSchedule(np.array([[0.1, 0.2]]))

@@ -17,7 +17,6 @@ from relaxcb import (
     ActionDistribution,
     ContextDistribution,
     ContextSequence,
-    EstimatedCost,
     HistoryRecord,
     LearnerConfig,
     OracleScores,
@@ -217,7 +216,7 @@ def zeros(shape):
 
 def make_record(context, estimate, k, action=1):
     """A recorded round with ``estimate``; only its context and estimate enter the past matrix."""
-    action = estimate.coordinate or action
+    action = estimate or action
     return HistoryRecord(
         context=context,
         played_dist=ActionDistribution.uniform(k),
@@ -278,7 +277,7 @@ class TestOracleScores:
                         played_dist=ActionDistribution.uniform(k),
                         played_action=action,
                         observed_cost=0.5,
-                        estimate=EstimatedCost(action if coin else 0),
+                        estimate=action if coin else 0,
                     )
                 )
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
@@ -293,7 +292,7 @@ class TestOracleScores:
                 for p in range(n):
                     total = 0
                     for rec in history:
-                        if rec.estimate.coordinate == action_of(pc, p, rec.context):
+                        if rec.estimate == action_of(pc, p, rec.context):
                             total += 1
                     if i and action_of(pc, p, x_t) == i:
                         total += 1
@@ -468,7 +467,7 @@ class TestRelaxationValue:
     def test_full_history_zero_estimates(self):
         pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
         cfg = LearnerConfig(K=2, T=3, scale=4.0)
-        history = [make_record(0, EstimatedCost(0), 2)] * 3
+        history = [make_record(0, 0, 2)] * 3
         rho = sample_future(3, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
         past = past_loss_matrix(history, 1, 2)
         assert relaxation_value(past, 3, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
@@ -493,14 +492,14 @@ class TestRelaxationValue:
             for _ in range(t):
                 action = int(rng.integers(1, k + 1))
                 coin = int(rng.integers(2))
-                est = EstimatedCost(action if coin else 0)
+                est = action if coin else 0
                 history.append(make_record(int(rng.integers(u)), est, k, action))
             rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
             best = math.inf
             for p in range(n):
                 total = 0.0
                 for rec in history:
-                    if rec.estimate.coordinate == action_of(pc, p, rec.context):
+                    if rec.estimate == action_of(pc, p, rec.context):
                         total += scale
                 for x in range(u):
                     total += 2.0 * scale * rho[x, action_of(pc, p, x) - 1]
@@ -587,7 +586,7 @@ class TestPastMatrix:
             for a in range(1, k + 1):
                 charged = past.copy()
                 charged[x, a - 1] += 1
-                extended = past_loss_matrix([*records, make_record(x, EstimatedCost(a), k)], u, k)
+                extended = past_loss_matrix([*records, make_record(x, a, k)], u, k)
                 assert relaxation_value(charged, t, rho, cfg, oracle) == relaxation_value(
                     extended, t, rho, cfg, oracle
                 )
@@ -737,7 +736,7 @@ class TestOracleOnly:
             learner = RelaxationLearner(cfg, oracle, source)
             play_rng = np.random.default_rng(5)
             records = [learner.play_round(int(x), lambda a: costs[t, a - 1], play_rng) for t, x in enumerate(contexts)]
-            return [(r.played_action, r.played_dist.probs.tolist(), r.estimate.coordinate) for r in records]
+            return [(r.played_action, r.played_dist.probs.tolist(), r.estimate) for r in records]
 
         double = TableFreeOracle()
         real = ValueOracle(PolicyClass(table=np.array(rows) + 1, num_actions=k))
@@ -847,7 +846,7 @@ class TestGoldenTrace:
             play, action, coin = reference[t - 1]
             np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
             assert rec.played_action == action
-            assert (rec.estimate.coordinate != 0) == bool(coin)
+            assert (rec.estimate != 0) == bool(coin)
 
     def test_transductive_matches_reference(self):
         pc = PolicyClass(table=self.TABLE, num_actions=2)
@@ -863,7 +862,7 @@ class TestGoldenTrace:
             play, action, coin = reference[t - 1]
             np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
             assert rec.played_action == action
-            assert (rec.estimate.coordinate != 0) == bool(coin)
+            assert (rec.estimate != 0) == bool(coin)
         assert rng.random() == ref_rng.random()  # the stream is left at the same point
 
     def test_frozen_first_round(self):
@@ -898,7 +897,7 @@ class TestGoldenTrace:
                 np.testing.assert_allclose(rec.played_dist.probs, lowest, atol=1e-12)
             np.testing.assert_allclose(rec.played_dist.probs, play, atol=1e-12)
             assert rec.played_action == action
-            assert (rec.estimate.coordinate != 0) == bool(coin)
+            assert (rec.estimate != 0) == bool(coin)
 
 
 class TestIntegerScores:

@@ -42,7 +42,7 @@ def per_context_counts(contexts, losses, num_contexts):
 
 def loop_query_value(policy_class, query):
     """Reference answer to a (U, K) integer query: a loop over contexts adds each policy's cell."""
-    totals = sum(query[x, policy_class.actions_for(x) - 1] for x in range(policy_class.num_contexts))
+    totals = sum(query[x, policy_class.table[:, x] - 1] for x in range(policy_class.num_contexts))
     return int(totals.min())
 
 
@@ -442,7 +442,17 @@ class TestPolicyClass:
         assert pc.num_policies == 2
         assert pc.num_contexts == 2
         assert pc.table[1, 0] == 2
-        np.testing.assert_array_equal(pc.actions_for(1), [2, 1])
+        np.testing.assert_array_equal(pc.by_context[1], [1, 0])
+
+    def test_by_context(self):
+        # the oracle, the comparator and Exp4 all read this one context-major action table
+        pc = PolicyClass(table=np.array([[1, 3], [2, 1], [3, 3]]), num_actions=3)
+        actions = pc.by_context
+        np.testing.assert_array_equal(actions, [[0, 1, 2], [2, 0, 2]])
+        assert actions.dtype == np.int64 and actions.flags.c_contiguous
+        with pytest.raises(ValueError):
+            actions[0, 0] = 1
+        assert pc.by_context is actions
 
     def test_table_immutable(self):
         pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
@@ -456,6 +466,18 @@ class TestRandomPolicyClass:
         for _ in range(20):
             pc = random_policy_class(5, 3, 4, rng)
             assert np.unique(pc.table).size == 4
+
+    def test_accepts_the_first_covering_draw(self):
+        # at (N, U, K) = (5, 3, 4) about one draw in 19 misses an action and is drawn again
+        rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+        redraws = 0
+        for _ in range(60):
+            table = reference.integers(1, 5, size=(5, 3))
+            while len(set(table.ravel().tolist())) < 4:
+                redraws += 1
+                table = reference.integers(1, 5, size=(5, 3))
+            np.testing.assert_array_equal(random_policy_class(5, 3, 4, rng).table, table)
+        assert redraws > 0
 
     def test_deterministic_given_seed(self):
         a = random_policy_class(6, 4, 3, np.random.default_rng(5))

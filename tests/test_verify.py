@@ -364,7 +364,7 @@ class TestFrozenResults:
         learner = RelaxationLearner(cfg, ValueOracle(pc), dist)
         costs = rng.random(2)
         history = [learner.play_round(dist.sample(rng), lambda a: costs[a - 1], rng) for _ in range(2)]
-        assert [rec.estimate.coordinate for rec in history] == [1, 2]
+        assert [rec.estimate for rec in history] == [1, 2]
         res = admissibility_check(pc, cfg, dist, history, 300, rng)
         assert (res.lhs, res.rhs, res.lhs_stderr, res.rhs_stderr, res.draws, res.round_index) == (
             0.8499999999999996, 1.8733333333333333, 0.24655749489844817, 0.3835601577964393, 300, 3,
