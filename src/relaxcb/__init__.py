@@ -16,7 +16,6 @@ from .core import (
 from .policies import (
     PolicyClass,
     ValueOracle,
-    best_policy_loss,
     random_policy_class,
 )
 from .learner import (
@@ -42,13 +41,13 @@ from .harness import (
     bound_curve,
     emit_outputs,
     run_experiment,
-    theoretical_bound,
     validate_config,
 )
 from .verify import (
     AdmissibilityResult,
     OracleScores,
     admissibility_check,
+    best_policy_loss,
     brute_force_minimax,
     inner_sup_value,
     inner_sup_values,
@@ -99,7 +98,6 @@ __all__ = [
     "sample_future",
     "simplex_grid",
     "sup_by_vertex_enumeration",
-    "theoretical_bound",
     "tune_scale",
     "unbiasedness_check",
     "validate_config",

@@ -50,11 +50,6 @@ def bound_curve(num_actions: int, horizon: int, scale: float, num_policies: int)
     return 2.0 * np.sqrt(2.0 * rounds * num_actions * scale * log_n) + rounds * num_actions / scale
 
 
-def theoretical_bound(num_actions: int, horizon: int, scale: float, num_policies: int) -> float:
-    """The regret cap at the full horizon: the last entry of :func:`bound_curve`."""
-    return float(bound_curve(num_actions, horizon, scale, num_policies)[-1])
-
-
 # ---------------------------------------------------------------------------
 # Config handling
 # ---------------------------------------------------------------------------
@@ -245,12 +240,15 @@ class RunResult:
     oracle_calls: int
     rep: int
     min_play_prob: float
-    max_coin_prob: float
     max_raw_coin_prob: float
 
     @property
     def final_regret(self) -> float:
         return float(self.cumulative_regret[-1])
+
+    @property
+    def max_coin_prob(self) -> float:
+        return min(self.max_raw_coin_prob, 1.0)
 
 
 @dataclass
@@ -267,7 +265,10 @@ class ExperimentResult:
     stderr_realized_regret: np.ndarray
     bound: np.ndarray
     wall_time: float
-    oracle_calls_total: int
+
+    @property
+    def oracle_calls_total(self) -> int:
+        return sum(r.oracle_calls for r in self.runs)
 
     @property
     def final_regret_mean(self) -> float:
@@ -335,7 +336,6 @@ def run_experiment(config: dict) -> ExperimentResult:
         stderr_realized_regret=stderr_realized,
         bound=bound_curve(k, horizon, scale, max(num_policies, 2)),
         wall_time=wall,
-        oracle_calls_total=sum(r.oracle_calls for r in runs),
     )
 
 
@@ -384,7 +384,6 @@ def _run_one(
         regret[t - 1] = cum_expected - prefix_best
         realized_regret[t - 1] = cum_realized - prefix_best
 
-    raw_coin = learner.max_raw_coin_prob if oracle is not None else 0.0
     return RunResult(
         played_actions=played,
         expected_costs=expected,
@@ -394,8 +393,7 @@ def _run_one(
         oracle_calls=oracle.stats.calls if oracle is not None else 0,
         rep=rep,
         min_play_prob=min_play,
-        max_coin_prob=min(raw_coin, 1.0),
-        max_raw_coin_prob=raw_coin,
+        max_raw_coin_prob=learner.max_raw_coin_prob if oracle is not None else 0.0,
     )
 
 

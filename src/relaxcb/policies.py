@@ -2,12 +2,11 @@
 
 Policies are deterministic maps from context ids to actions, stored as an
 explicit ``(num_policies, num_contexts)`` lookup table.  Its context-major
-0-based transpose, :attr:`PolicyClass.by_context`, is built once per class
-and is what the oracle, the harness's comparator, Exp4 and the perturbation
-check read.  The oracle answers one query: the minimum cumulative loss any
-single policy attains on a weighted example sequence.  It is exact
-enumeration and every invocation is counted, because the learner's
-efficiency claim is measured in oracle calls.
+0-based transpose, :attr:`PolicyClass.by_context`, is built once per class;
+the oracle, the harness's comparator, Exp4 and the perturbation check read
+it.  The oracle answers one query, the least cumulative loss any policy
+attains on a weighted example sequence, by exact enumeration, and counts
+every call: the learner's efficiency claim is measured in oracle calls.
 
 Policies depend on the context id only, so a query is the (U, K) matrix
 whose row u sums the losses of the examples at context u.  Queries are int64
@@ -19,8 +18,6 @@ of g (:func:`_block_size`).  For each block it builds the table of all
 N)`` index, built once per oracle, then gathers each policy's entry of every
 block, and the rows are summed.  At g = 1 the table is the query itself
 and the index is ``by_context`` plus each row's offset.
-:func:`best_policy_loss`, the comparator on real costs, sums a (T,) context
-sequence into a float (U, K) matrix instead (:func:`context_action_sums`).
 
 A learner's round asks one base query and then K charged queries, each the
 base plus one cell (x, a).  So an oracle over a large table (``N * U`` at
@@ -116,19 +113,6 @@ def random_policy_class(
         if np.bincount(table.ravel(), minlength=num_actions + 1)[1:].all():
             return PolicyClass(table=table, num_actions=num_actions)
     raise ValueError("no action-covering table found in 100 tries")
-
-
-def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:
-    """Sum the (m, K) rows of ``values`` by context id into a (U, K) matrix.
-
-    One ``bincount`` over the flattened cells ``context * K + action``.  Each
-    cell adds its rows in input order, exactly as a per-action ``bincount``
-    would.  Context ids must lie in ``0..num_contexts-1``.
-    """
-    num_actions = values.shape[1]
-    cells = contexts[:, None] * num_actions + np.arange(num_actions)
-    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=num_contexts * num_actions)
-    return sums.reshape(num_contexts, num_actions)
 
 
 def _block_size(num_policies: int, num_contexts: int, num_actions: int) -> int:
@@ -283,27 +267,3 @@ class ValueOracle:
 
     def _out_of_bounds(self) -> str:
         return f"a query cell lies outside ±{self._bound}, where a policy's total could overflow int64"
-
-
-def best_policy_loss(policy_class: PolicyClass, contexts, costs) -> float:
-    """Exact hindsight comparator: the best policy's cumulative true cost.
-
-    Computed by full enumeration over the class; this is the ground truth
-    regret is reported against.
-    """
-    contexts = np.asarray(contexts, dtype=np.int64)
-    costs = np.asarray(costs, dtype=float)
-    if contexts.ndim != 1:
-        raise ValueError("contexts must be a 1-d sequence of ids")
-    if len(contexts) != len(costs):
-        raise ValueError(f"{len(contexts)} contexts but {len(costs)} cost vectors")
-    if len(contexts) == 0:
-        return 0.0
-    if costs.ndim != 2 or costs.shape[1] != policy_class.num_actions:
-        raise ValueError(f"costs has shape {costs.shape}, expected (T, {policy_class.num_actions})")
-    num_contexts = policy_class.num_contexts
-    if contexts.min() < 0 or contexts.max() >= num_contexts:
-        raise ValueError("context id outside the policy class universe")
-    per_context = context_action_sums(contexts, costs, num_contexts)
-    per_policy = per_context[np.arange(num_contexts)[None, :], policy_class.table - 1].sum(axis=1)
-    return float(per_policy.min())

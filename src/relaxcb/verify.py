@@ -3,10 +3,10 @@
 Everything here deliberately re-derives quantities by brute force --
 simplex grids, polytope vertex enumeration, exact convolution, Monte Carlo
 -- so the fast closed forms elsewhere in the package are checked against a
-second route, not against themselves.  The learner's in-law future draw has
-its reference here: the round-by-round sampler it replaced and that
-sampler's exact law.  So has its vertex play: the real-valued minimax step
-(scores, water-filling, best response, potential), which only checks use.
+second route, not against themselves.  The run path's references live
+here, and only checks use them: the round-by-round sampler that the in-law
+future draw replaced and its exact law, the real-valued minimax step behind
+the vertex play, and the hindsight comparator :func:`best_policy_loss`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,43 @@ from .learner import (
     sample_future,
 )
 from .policies import PolicyClass, ValueOracle, random_policy_class
+
+
+def best_policy_loss(policy_class: PolicyClass, contexts, costs) -> float:
+    """Exact hindsight comparator: the best policy's cumulative true cost.
+
+    Computed by full enumeration over the class: the reference for the
+    harness's running ``per_policy`` sums that regret is reported against.
+    """
+    contexts = np.asarray(contexts, dtype=np.int64)
+    costs = np.asarray(costs, dtype=float)
+    if contexts.ndim != 1:
+        raise ValueError("contexts must be a 1-d sequence of ids")
+    if len(contexts) != len(costs):
+        raise ValueError(f"{len(contexts)} contexts but {len(costs)} cost vectors")
+    if len(contexts) == 0:
+        return 0.0
+    if costs.ndim != 2 or costs.shape[1] != policy_class.num_actions:
+        raise ValueError(f"costs has shape {costs.shape}, expected (T, {policy_class.num_actions})")
+    num_contexts = policy_class.num_contexts
+    if contexts.min() < 0 or contexts.max() >= num_contexts:
+        raise ValueError("context id outside the policy class universe")
+    per_context = context_action_sums(contexts, costs, num_contexts)
+    per_policy = per_context[np.arange(num_contexts)[None, :], policy_class.table - 1].sum(axis=1)
+    return float(per_policy.min())
+
+
+def context_action_sums(contexts: np.ndarray, values: np.ndarray, num_contexts: int) -> np.ndarray:
+    """Sum the (m, K) rows of ``values`` by context id into a (U, K) matrix.
+
+    One ``bincount`` over the flattened cells ``context * K + action``.  Each
+    cell adds its rows in input order, exactly as a per-action ``bincount``
+    would.  Context ids must lie in ``0..num_contexts-1``.
+    """
+    num_actions = values.shape[1]
+    cells = contexts[:, None] * num_actions + np.arange(num_actions)
+    sums = np.bincount(cells.ravel(), weights=values.ravel(), minlength=num_contexts * num_actions)
+    return sums.reshape(num_contexts, num_actions)
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ or __hash__ would fail on the minima and gaps arrays

@@ -34,13 +34,13 @@ from relaxcb import (
     RelaxationLearner,
     ValueOracle,
     admissibility_check,
+    bound_curve,
     emit_outputs,
     inner_sup_value,
     rademacher_bound_check,
     random_policy_class,
     run_experiment,
     sup_by_vertex_enumeration,
-    theoretical_bound,
     unbiasedness_check,
     water_fill,
 )
@@ -163,7 +163,7 @@ def test_criterion_5_bound_conformance(gap_run, targeted_run):
     details = []
     ok = True
     for label, (result, elapsed) in (("stochastic-gap", gap_run), ("policy-targeted", targeted_run)):
-        bound = theoretical_bound(5, 2000, result.scale, 50)
+        bound = bound_curve(5, 2000, result.scale, 50)[-1]
         final = result.final_regret_mean
         ratio = (result.mean_regret[1999] / 2000) / (result.mean_regret[499] / 500)
         conform = final <= bound

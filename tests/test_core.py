@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import relaxcb
 from relaxcb import (
     ActionDistribution,
     ContextDistribution,
@@ -230,3 +231,21 @@ class TestUnbiasedness:
         means = sums / n
         stderr = np.sqrt((scale * costs - costs**2) / n)
         assert np.all(np.abs(means - costs) <= 3 * stderr)
+
+
+class TestPublicApi:
+    """Every listed export resolves, and the references stay out of the product modules."""
+
+    def test_every_listed_name_resolves_once(self):
+        assert len(set(relaxcb.__all__)) == len(relaxcb.__all__)
+        for name in relaxcb.__all__:
+            getattr(relaxcb, name)  # AttributeError if a listed name is missing
+
+    def test_comparator_is_the_verify_reference(self):
+        assert relaxcb.best_policy_loss is relaxcb.verify.best_policy_loss
+
+    def test_product_modules_hold_no_reference(self):
+        for name in ("best_policy_loss", "context_action_sums"):
+            assert not hasattr(relaxcb.policies, name)
+        assert not hasattr(relaxcb.harness, "theoretical_bound")
+        assert "theoretical_bound" not in relaxcb.__all__

@@ -14,7 +14,6 @@ from relaxcb import (
     bound_curve,
     emit_outputs,
     run_experiment,
-    theoretical_bound,
     validate_config,
 )
 from relaxcb.policies import REMEMBER_MIN_CELLS
@@ -45,26 +44,23 @@ class TestTheoreticalBound:
     def test_linear_term_at_minimal_scale(self):
         # scale = K makes the exploration term exactly T
         k, t, n = 3, 50, 10
-        bound = theoretical_bound(k, t, float(k), n)
+        curve = bound_curve(k, t, float(k), n)
+        assert curve.shape == (50,)
+        bound = curve[-1]
         assert bound - 2 * math.sqrt(2 * t * k * k * math.log(n)) == pytest.approx(t)
 
     def test_first_term_scales_as_sqrt_log(self):
         # squaring N doubles log N: the sqrt term grows by exactly sqrt(2)
         k, t, scale, n = 3, 50, 6.0, 12
-        first = theoretical_bound(k, t, scale, n) - t * k / scale
-        first_sq = theoretical_bound(k, t, scale, n * n) - t * k / scale
+        first = bound_curve(k, t, scale, n)[-1] - t * k / scale
+        first_sq = bound_curve(k, t, scale, n * n)[-1] - t * k / scale
         assert first_sq / first == pytest.approx(math.sqrt(2.0))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="scale"):
-            theoretical_bound(3, 50, 2.0, 10)
+            bound_curve(3, 50, 2.0, 10)
         with pytest.raises(ValueError, match="policies"):
-            theoretical_bound(3, 50, 5.0, 1)
-
-    def test_curve_endpoint_matches_scalar(self):
-        curve = bound_curve(3, 50, 6.0, 12)
-        assert curve[-1] == pytest.approx(theoretical_bound(3, 50, 6.0, 12))
-        assert curve.shape == (50,)
+            bound_curve(3, 50, 5.0, 1)
 
 
 class TestConfigValidation:

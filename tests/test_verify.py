@@ -1,4 +1,10 @@
-"""The verification oracles themselves, cross-checked by third routes."""
+"""The verification oracles themselves, cross-checked by third routes.
+
+That includes the references the run path is checked against: the hindsight
+comparator and the real-valued minimax step (scores, water-filling, the
+inner supremum, the potential).  Loop helpers come from the test modules of
+the code they mirror; neither imports this one.
+"""
 
 import math
 import re
@@ -12,21 +18,29 @@ from relaxcb import (
     ContextDistribution,
     LearnerConfig,
     OracleScores,
+    PolicyClass,
     RelaxationLearner,
     UniformLearner,
     ValueOracle,
     admissibility_check,
+    best_policy_loss,
     brute_force_minimax,
     inner_sup_value,
+    inner_sup_values,
     rademacher_bound_check,
     random_policy_class,
+    relaxation_value,
+    sample_future,
     simplex_grid,
     sup_by_vertex_enumeration,
     unbiasedness_check,
     water_fill,
 )
 from relaxcb import verify
-from relaxcb.verify import cost_grid, minimax_check
+from relaxcb.learner import past_loss_matrix
+from relaxcb.verify import context_action_sums, cost_grid, minimax_check
+from test_learner import action_of, make_record, zeros
+from test_policies import exactness_instances, loop_per_context, loop_value
 
 
 def make_scores(minima, scale):
@@ -57,6 +71,58 @@ def reference_rademacher_bound_check(
         done += b
     stderr = float(sups.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return float(sups.mean()), stderr
+
+
+class TestBestPolicyLoss:
+    def test_empty_horizon(self):
+        pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
+        assert best_policy_loss(pc, [], np.zeros((0, 2))) == 0.0
+
+    def test_single_round_covering_class(self):
+        pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
+        assert best_policy_loss(pc, [0], np.array([[0.2, 0.9]])) == pytest.approx(0.2)
+
+    def test_all_zero_costs(self):
+        rng = np.random.default_rng(2)
+        pc = random_policy_class(6, 3, 3, rng)
+        assert best_policy_loss(pc, [0, 1, 2, 0], np.zeros((4, 3))) == 0.0
+
+    def test_length_mismatch(self):
+        pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
+        with pytest.raises(ValueError, match="contexts but"):
+            best_policy_loss(pc, [0, 1], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("context", [-1, 2])
+    def test_rejects_out_of_universe_context(self, context):
+        pc = PolicyClass(table=np.array([[1, 2]]), num_actions=2)
+        with pytest.raises(ValueError, match="universe"):
+            best_policy_loss(pc, [0, context], np.zeros((2, 2)))
+
+    def test_matches_loop_enumeration(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n, u, k, t = 7, 4, 3, int(rng.integers(1, 15))
+            pc = PolicyClass(table=rng.integers(1, k + 1, size=(n, u)), num_actions=k)
+            contexts = rng.integers(0, u, size=t)
+            costs = rng.random((t, k))
+            expected = min(
+                sum(costs[i, action_of(pc, p, contexts[i]) - 1] for i in range(t))
+                for p in range(pc.num_policies)
+            )
+            assert best_policy_loss(pc, contexts, costs) == pytest.approx(expected)
+
+
+class TestFlatAggregationExactness:
+    """The reference comparator's flat ``bincount`` and policy-major gather equal the per-action loop exactly."""
+
+    def test_context_action_sums(self):
+        for pc, contexts, losses in exactness_instances(np.random.default_rng(11)):
+            got = context_action_sums(contexts, losses, pc.num_contexts)
+            assert np.array_equal(got, loop_per_context(contexts, losses, pc.num_contexts))
+
+    def test_best_policy_loss(self):
+        for pc, contexts, costs in exactness_instances(np.random.default_rng(14)):
+            assert best_policy_loss(pc, contexts, costs) == loop_value(pc, contexts, costs)
 
 
 class TestSimplexGrid:
@@ -93,6 +159,155 @@ class TestSimplexGrid:
     def test_cost_grid_corners(self):
         assert cost_grid(2, 1.0).tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         assert cost_grid(3, 0.25).shape == (125, 3)
+
+
+class TestOracleScores:
+    def test_gap_derivation(self):
+        scores = make_scores([1.0, 3.0, 1.0], scale=4.0)
+        np.testing.assert_allclose(scores.gaps, [0.5, 0.0])
+
+
+class TestWaterFill:
+    def test_mixed_gaps(self):
+        # fill gives (0.5, 0, 0.3); the leftover 0.2 goes to the largest gap
+        q = water_fill([0.5, -0.2, 0.3])
+        np.testing.assert_allclose(q.probs, [0.7, 0.0, 0.3])
+
+    def test_all_negative_goes_to_lowest_index(self):
+        q = water_fill([-1.0, -1.0])
+        np.testing.assert_allclose(q.probs, [1.0, 0.0])
+
+    def test_mass_exhausts_in_order(self):
+        q = water_fill([0.8, 0.9])
+        np.testing.assert_allclose(q.probs, [0.8, 0.2])
+
+    def test_always_a_valid_distribution(self):
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            k = int(rng.integers(2, 7))
+            gaps = rng.normal(0.0, 2.0, size=k)
+            q = water_fill(gaps)
+            assert q.probs.min() >= 0.0
+            assert q.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestInnerSupValue:
+    def test_uniform_zero_scores(self):
+        # z = (2, 2), z0 = 0: value (2 + 2)/4 = 1
+        scores = make_scores([0.0, 0.0, 0.0], scale=4.0)
+        value = inner_sup_value(ActionDistribution.uniform(2), scores, 4.0)
+        assert value == pytest.approx(1.0)
+
+    def test_constructed_cancellation(self):
+        # minima[i] = scale*q_i + minima[0] makes every spike worthless
+        rng = np.random.default_rng(4)
+        q = rng.random(3)
+        q /= q.sum()
+        base = 1.7
+        minima = np.concatenate([[base], 6.0 * q + base])
+        scores = make_scores(minima, scale=6.0)
+        assert inner_sup_value(q, scores, 6.0) == pytest.approx(-base)
+
+    def test_scale_below_action_count_rejected(self):
+        scores = make_scores([0.0, 1.0, 2.0], scale=4.0)
+        with pytest.raises(ValueError, match="scale"):
+            inner_sup_value(ActionDistribution.uniform(2), scores, 1.5)
+
+    def test_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            k = int(rng.integers(2, 4))
+            scale = float(rng.uniform(k, 4 * k))
+            minima = np.concatenate([[rng.normal()], rng.normal(0, scale, size=k)])
+            scores = make_scores(minima, scale)
+            raw = rng.random(k)
+            q = raw / raw.sum()
+            closed = inner_sup_value(q, scores, scale)
+            vertex = sup_by_vertex_enumeration(q, scores, scale)
+            assert closed == pytest.approx(vertex, abs=1e-9)
+
+    def test_objective_affine_in_capped_residuals(self):
+        # value(q) = sum_i max(q_i - gap_i, 0) - minima[0]; ranking over q is
+        # therefore identical to ranking by the capped-residual sum alone
+        rng = np.random.default_rng(6)
+        scale = 5.0
+        minima = np.concatenate([[rng.normal()], rng.normal(0, scale, size=3)])
+        scores = make_scores(minima, scale)
+        qs = rng.dirichlet(np.ones(3), size=50)
+        values = inner_sup_values(qs, scores, scale)
+        residuals = np.maximum(qs - scores.gaps, 0.0).sum(axis=1)
+        np.testing.assert_allclose(values, residuals - minima[0], atol=1e-12)
+        np.testing.assert_array_equal(np.argsort(values), np.argsort(residuals))
+
+
+class TestRelaxationValue:
+    def test_full_history_zero_estimates(self):
+        pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=3, scale=4.0)
+        history = [make_record(0, 0, 2)] * 3
+        rho = sample_future(3, cfg, ContextDistribution.uniform(1), np.random.default_rng(0))
+        past = past_loss_matrix(history, 1, 2)
+        assert relaxation_value(past, 3, rho, cfg, ValueOracle(pc)) == pytest.approx(0.0)
+
+    def test_empty_history_all_zero_magnitudes(self):
+        # no perturbation hits: value is the full exploration budget T*K/scale
+        pc = PolicyClass(table=np.array([[1, 2], [2, 1]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=6, scale=4.0)
+        zero_draw = np.zeros((2, 2), dtype=np.int64)
+        value = relaxation_value(zeros((2, 2)), 0, zero_draw, cfg, ValueOracle(pc))
+        assert value == pytest.approx(6 * 2 / 4.0)
+
+    def test_matches_enumeration_plus_offset(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            k, u, n, horizon = 2, 3, 5, 7
+            scale = 4.0
+            pc = random_policy_class(n, u, k, rng)
+            cfg = LearnerConfig(K=k, T=horizon, scale=scale)
+            t = int(rng.integers(0, horizon + 1))
+            history = []
+            for _ in range(t):
+                action = int(rng.integers(1, k + 1))
+                coin = int(rng.integers(2))
+                est = action if coin else 0
+                history.append(make_record(int(rng.integers(u)), est, k, action))
+            rho = sample_future(t, cfg, ContextDistribution.uniform(u), rng)
+            best = math.inf
+            for p in range(n):
+                total = 0.0
+                for rec in history:
+                    if rec.estimate == action_of(pc, p, rec.context):
+                        total += scale
+                for x in range(u):
+                    total += 2.0 * scale * rho[x, action_of(pc, p, x) - 1]
+                best = min(best, total)
+            expected = -best + (horizon - t) * k / scale
+            got = relaxation_value(past_loss_matrix(history, u, k), t, rho, cfg, ValueOracle(pc))
+            assert got == pytest.approx(expected, abs=1e-9)
+
+    def test_single_oracle_call(self):
+        pc = PolicyClass(table=np.array([[1], [2]]), num_actions=2)
+        cfg = LearnerConfig(K=2, T=2, scale=4.0)
+        oracle = ValueOracle(pc)
+        rho = sample_future(0, cfg, ContextDistribution.uniform(1), np.random.default_rng(3))
+        relaxation_value(zeros((1, 2)), 0, rho, cfg, oracle)
+        assert oracle.stats.calls == 1
+
+
+class TestMinimizerAgainstGrid:
+    def test_water_fill_attains_grid_minimum(self):
+        """The water-filled point is never worse than a fine grid search."""
+        rng = np.random.default_rng(9)
+        for k in (2, 3):
+            mesh = 1e-3
+            for mult in (1, 2):
+                scale = float(k * mult)
+                for _ in range(10):
+                    minima = np.concatenate([[0.0], rng.normal(0.0, scale, size=k)])
+                    scores = make_scores(minima, scale)
+                    achieved = inner_sup_value(water_fill(scores.gaps), scores, scale)
+                    _, grid_min = brute_force_minimax(scores, scale, mesh)
+                    assert achieved <= grid_min + scale * mesh + 1e-6
 
 
 class TestVertexEnumeration:
